@@ -47,7 +47,7 @@ from .grids import (
     tail_quadrature_matrix,
     uniform_grid,
 )
-from .pde_sim import IssEnvelope, Trajectory, _running_max_signal
+from .pde_sim import IssEnvelope, Trajectory, _running_max_signal, _store_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +284,7 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
 
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
-    store_at = set(np.unique(np.round(np.linspace(0, n_steps, min(n_store, n_steps) + 1)).astype(int)))
+    store_at = set(_store_indices(n_steps, n_store))
 
     w_simp = simpson_weights(m + 1)
     grid = kernel.grid

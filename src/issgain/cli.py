@@ -224,6 +224,8 @@ def cmd_gain(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
     table = sweep_figure1(zetas, advection_form=args.advection_form)
     csvio.write_csv(table.HEADER, table.rows(), args.output)
@@ -258,8 +260,12 @@ def _verify_from_args(args, problem, traj) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.store < 1:
+        raise ConfigError(f"--store must be at least 1, got {args.store}")
     d = _signal_from_args(args)
     if args.solver == "advection":
+        if not args.v > 0:
+            raise ConfigError(f"--v must be positive for the advection solver, got {args.v}")
         if args.disturbance == "sinusoid" and args.phase == 0.0:
             # cosine start satisfies d'(0) = 0, matching the default profile below
             d = DisturbanceSignal.sinusoid(args.amplitude, args.omega, math.pi / 2.0)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from .disturbances import DisturbanceSignal
+from .disturbances import DisturbanceSignal, _quadratic_exp_quadrature
 from .errors import (
     CompatibilityWarning,
     IncompatibleInitialCondition,
@@ -156,8 +156,21 @@ def _semidiscrete_operator(problem: SLProblem):
     return lower, diag, upper, load, lo, hi
 
 
+def _require_store(n_store: int):
+    if n_store < 1:
+        raise ValueError(f"n_store must be at least 1, got {n_store}")
+
+
 def _store_indices(n_steps: int, n_store: int) -> np.ndarray:
+    """Steps at which a time-stepping run stores its state, t = 0 included."""
+    _require_store(n_store)
     return np.unique(np.round(np.linspace(0, n_steps, min(n_store, n_steps) + 1)).astype(int))
+
+
+def _store_times(T: float, n_store: int) -> np.ndarray:
+    """Output times of the interval-wise routes: n_store intervals, at least 2."""
+    _require_store(n_store)
+    return np.linspace(0.0, T, max(2, n_store) + 1)
 
 
 def _check_compatibility(problem: SLProblem, x0: GridFunction, d0: float,
@@ -302,13 +315,13 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
     lam = spectrum.eigenvalues[:N]
     kappa = p0 * (b1n * spectrum.derivatives_at_0[:N] - b2n * spectrum.values_at_0[:N])
 
-    times = np.linspace(0.0, T, max(2, n_store) + 1)
+    times = _store_times(T, n_store)
     coeffs = np.empty((times.size, N))
     coeffs[0] = fourier_coefficients(x0, spectrum, problem)[:N]
     for i in range(1, times.size):
         t0, t1 = float(times[i - 1]), float(times[i])
         decay = np.exp(-lam * (t1 - t0))
-        conv = np.array([d.exp_convolution(float(l), t0, t1) for l in lam])
+        conv = d.exp_convolution(lam, t0, t1)
         coeffs[i] = decay * coeffs[i - 1] + kappa / s * conv
 
     states = [GridFunction(spectrum.grid, coeffs[i] @ spectrum.eigenfunctions[:N])
@@ -351,8 +364,7 @@ class LiftedForcing:
 
     def theta_dot_convolution(self, lam: np.ndarray, t0: float, t1: float) -> np.ndarray:
         """integral e^{-lam (t1-s)} theta'(s) ds via d' and d'' convolutions."""
-        conv_dp = np.array([self.signal.exp_convolution_derivative(float(l), t0, t1)
-                            for l in lam]) / self.scale
+        conv_dp = self.signal.exp_convolution_derivative(lam, t0, t1) / self.scale
         # integral e^{-lam(t1-s)} d''(s) ds by parts: d'(t1) - e^{-lam dt} d'(t0) - lam * conv_dp
         dp1 = float(self.signal.derivative(np.asarray(t1))) / self.scale
         dp0 = float(self.signal.derivative(np.asarray(t0))) / self.scale
@@ -373,19 +385,19 @@ class GenericForcing:
         self._f = f
         self._f_t = f_t
 
-    def _project(self, values) -> np.ndarray:
-        return self._h * self._phi @ (self._w * self._rz * np.asarray(values, dtype=float))
+    def _project(self, values, n_modes: int) -> np.ndarray:
+        """Coefficients on the first n_modes eigenfunctions of one grid
+        sample, or of a stack of samples along the first axis."""
+        weighted = np.asarray(values, dtype=float) * (self._w * self._rz)
+        return self._h * weighted @ self._phi[:n_modes].T
 
     def theta(self, t: float, n_modes: int) -> np.ndarray:
-        return self._project(self._f(t))[:n_modes]
+        return self._project(self._f(t), n_modes)
 
     def theta_dot_convolution(self, lam: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        from .disturbances import _quadratic_exp_quadrature
-        out = np.empty(lam.size)
-        for i, l in enumerate(lam):
-            out[i] = _quadratic_exp_quadrature(
-                lambda s, i=i: self._project(self._f_t(float(s)))[i], float(l), t0, t1)
-        return out
+        def theta_dot(times):
+            return self._project([self._f_t(float(s)) for s in times], lam.size)
+        return _quadratic_exp_quadrature(theta_dot, lam, t0, t1)
 
 
 def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
@@ -410,7 +422,7 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
             f"(residuals {bval:.2e}, {aval:.2e})")
 
     lam = spectrum.eigenvalues[:N]
-    times = np.linspace(0.0, T, max(2, n_store) + 1)
+    times = _store_times(T, n_store)
     coeffs = np.empty((times.size, N))
     coeffs[0] = fourier_coefficients(y0, spectrum, problem)[:N]
     theta_prev = forcing.theta(0.0, N)
@@ -498,7 +510,7 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
     h = grid[1] - grid[0]
     weight = np.exp(-v * grid / weight_D) if weight_D else np.ones_like(grid)
     w_simp = simpson_weights(grid.size)
-    times = np.linspace(0.0, T, max(2, n_store) + 1)
+    times = _store_times(T, n_store)
     states, norms = [], np.empty(times.size)
     for i, t in enumerate(times):
         vals = np.empty_like(grid)

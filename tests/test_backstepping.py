@@ -166,6 +166,13 @@ class TestClosedLoop:
         expected = result.y.norms[0] * np.exp(-math.pi ** 2 * result.y.times)
         assert np.max(np.abs(result.y.norms - expected) / expected) < 5e-4
 
+    def test_store_below_one_rejected(self):
+        cfg = ClosedLoopConfig(D=1.0, p=0.0, c=0.0, d=DisturbanceSignal.constant(0.0))
+        grid = uniform_grid(64)
+        y0 = GridFunction(grid, np.sin(math.pi * grid))
+        with pytest.raises(ValueError, match="n_store"):
+            simulate_closed_loop(cfg, y0, 1e-3, 0.05, n_store=0)
+
     def test_target_equation_residual_second_order(self):
         # interior residual of x_t = D x_zz - c x on the transformed
         # trajectory shrinks ~4x under (dz, dt) halving; the last two nodes

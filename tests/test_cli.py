@@ -178,6 +178,23 @@ class TestSimulateCommand:
         assert len(read(iss)) == 4
 
 
+class TestRejectedInputs:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--solver", "fd", "--store", "0"],
+        ["simulate", "--solver", "spectral", "--store", "0"],
+        ["simulate", "--solver", "lifted", "--store", "-3"],
+        ["simulate", "--solver", "advection", "--v", "0"],
+        ["sweep-fig1", "--points", "0"],
+    ])
+    def test_exit_three_without_traceback(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,41 @@ from issgain import (
     verify_iss,
     weighted_norm,
 )
+from issgain.disturbances import _j_moments
+
+
+def scalar_exp_quadrature(fn, lam, t0, t1, n_sub=None):
+    """Reference for the vectorised quadrature: one mode at a time, one scalar
+    sample per substep edge and midpoint."""
+    if n_sub is None:
+        n_sub = max(16, min(256, math.ceil(64.0 * (t1 - t0))))
+    total = 0.0
+    edges = np.linspace(t0, t1, n_sub + 1)
+    for i in range(n_sub):
+        a, b = edges[i], edges[i + 1]
+        delta = b - a
+        mid = 0.5 * (a + b)
+        f0, fm, f1 = (float(fn(np.asarray(x))) for x in (a, mid, b))
+        c0 = f0
+        c1 = (-3.0 * f0 + 4.0 * fm - f1) / delta
+        c2 = 2.0 * (f0 - 2.0 * fm + f1) / delta ** 2
+        j0, j1, j2 = _j_moments(lam, delta, 2)
+        piece = c0 * j0 + c1 * j1 + c2 * j2
+        total = total * math.exp(-lam * delta) + piece
+    return total
+
+
+def exact_j_moment(lam, delta, k):
+    """J_k = delta^{k+1} sum_m (-lam delta)^m k!/(k+m+1)!, summed in rational
+    arithmetic until the terms fall below 1e-40 of the sum."""
+    x, d = Fraction(lam) * Fraction(delta), Fraction(delta)
+    total, m = Fraction(0), 0
+    while True:
+        term = (-x) ** m * Fraction(math.factorial(k), math.factorial(k + m + 1))
+        total += term
+        if m > 2 and abs(term) <= abs(total) * Fraction(1, 10 ** 40):
+            return float(d ** (k + 1) * total)
+        m += 1
 
 
 class TestDisturbanceSignal:
@@ -79,6 +115,76 @@ class TestDisturbanceSignal:
         exact, _ = quad(lambda s: math.exp(-lam * (0.52 - s)) * float(d.value(np.asarray(s))),
                         0.5, 0.52, epsabs=1e-15, epsrel=1e-13)
         assert d.exp_convolution(lam, 0.5, 0.52) == pytest.approx(exact, abs=1e-11)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 10.0])
+    def test_j_moments_match_series(self, x):
+        # the recurrence J_k = (delta^k - k J_{k-1}) / lam cancels as lam delta -> 0
+        # (J2 off by 5.4 relative at lam = 1e-6, delta = 1e-2) and divides by zero at lam = 0
+        for delta in (1e-2, 4e-6, 0.7):
+            lam = x / delta
+            got = _j_moments(lam, delta, 2)
+            for k in range(3):
+                exact = exact_j_moment(lam, delta, k)
+                assert got[k] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_j_moments_broadcast_without_warnings(self):
+        lam = np.array([0.0, 1e-7, 2.5, 80.0, 3e4])
+        delta = np.array([[1e-3], [0.05]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _j_moments(lam, delta, 2)
+        assert got.shape == (3, 2, 5)
+        for r, dl in enumerate(delta[:, 0]):
+            for c, lm in enumerate(lam):
+                assert np.array_equal(got[:, r, c], _j_moments(lm, dl, 2))
+        assert got[2, 1, 0] == pytest.approx(0.05 ** 3 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("t0, t1", [(0.31, 0.33), (0.1, 0.8)])
+    def test_vectorised_quadrature_matches_scalar_loop(self, t0, t1):
+        d = DisturbanceSignal.smoothed_step(1.7, 0.9)
+        lam = np.geomspace(0.5, 1e4, 32)
+        for vector, fn in ((d.exp_convolution(lam, t0, t1), d.value),
+                           (d.exp_convolution_derivative(lam, t0, t1), d.derivative)):
+            assert vector.shape == lam.shape
+            reference = np.array([scalar_exp_quadrature(fn, float(l), t0, t1) for l in lam])
+            assert np.max(np.abs(vector - reference) / np.abs(reference)) < 1e-13
+
+    @pytest.mark.parametrize("d", [DisturbanceSignal.constant(0.7),
+                                   DisturbanceSignal.sinusoid(1.3, 2.5, 0.3, 0.2),
+                                   DisturbanceSignal.sinusoid(1.3, 0.0, 0.3, 0.2),
+                                   DisturbanceSignal.smoothed_step(2.0, 0.8)])
+    def test_exp_convolution_vector_matches_scalar_calls(self, d):
+        lam = np.array([0.0, 0.5, 12.0, 400.0])
+        for method in (d.exp_convolution, d.exp_convolution_derivative):
+            vector = method(lam, 0.2, 0.45)
+            scalars = [method(float(l), 0.2, 0.45) for l in lam]
+            assert all(type(v) is float for v in scalars)
+            assert np.allclose(vector, scalars, rtol=1e-14, atol=0.0)
+
+    def test_one_sample_call_per_interval_for_all_modes(self, monkeypatch, laplacian_problem,
+                                                        laplacian_spectrum):
+        calls = []
+        for name in ("value", "derivative"):
+            original = getattr(DisturbanceSignal, name)
+
+            def counting(self, t, original=original):
+                calls.append(np.size(t))
+                return original(self, t)
+
+            monkeypatch.setattr(DisturbanceSignal, name, counting)
+        d = DisturbanceSignal.smoothed_step(1.0, 0.5)
+        for n_modes in (1, 32, 400):
+            for method in (d.exp_convolution, d.exp_convolution_derivative):
+                calls.clear()
+                method(np.linspace(1.0, 1e3, n_modes), 0.1, 0.3)
+                assert 1 <= len(calls) <= 2
+        # a generic forcing samples its scalar-time f_t once per quadrature time
+        samples = []
+        forcing = GenericForcing(laplacian_problem, laplacian_spectrum, lambda t: None,
+                                 lambda t: samples.append(t) or np.zeros(257))
+        conv = forcing.theta_dot_convolution(laplacian_spectrum.eigenvalues, 0.1, 0.3)
+        assert conv.shape == (12,)
+        assert len(samples) == 2 * 16 + 1
 
 
 class TestSimulateFd:
@@ -209,6 +315,19 @@ class TestSimulateSpectral:
         x0 = GridFunction(prob.grid, np.zeros_like(prob.grid))
         with pytest.raises(UncertifiedHypothesis):
             simulate_spectral(prob, spec, DisturbanceSignal.constant(0.0), x0, 1.0, N=10)
+
+    @pytest.mark.parametrize("n_store", [0, -3])
+    def test_store_below_one_rejected(self, laplacian_problem, laplacian_spectrum, n_store):
+        d = DisturbanceSignal.smoothed_step(1.0, 0.2)
+        x0 = GridFunction(laplacian_problem.grid, np.zeros_like(laplacian_problem.grid))
+        runs = (lambda: simulate_fd(laplacian_problem, d, x0, 1e-3, 0.05, n_store=n_store),
+                lambda: simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 0.05,
+                                          N=12, n_store=n_store),
+                lambda: simulate_via_lifting(laplacian_problem, laplacian_spectrum, d, x0,
+                                             0.05, N=12, n_store=n_store))
+        for run in runs:
+            with pytest.raises(ValueError, match="n_store"):
+                run()
 
 
 class TestLifting:
