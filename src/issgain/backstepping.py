@@ -12,16 +12,13 @@ the kernel conditions
     k_zz - k_ss = lam k,   k(z,1) = 0,   k(z,z) = lam (1-z)/2,
 
 with lam = (p+c)/D; the inverse kernel solves the same problem with
-lam -> -lam.  In characteristic variables xi = (1-z)+(1-s),
-eta = (1-z)-(1-s) this is the fixed point
-
-    G(xi,eta) = lam (xi-eta)/4
-                + lam/4 integral_eta^xi integral_0^eta G(tau,sigma) dsigma dtau,
-
-iterated to convergence (the series converges for every lam like a Bessel
-series).  The constant-coefficient closed form
-lam (1-s) I1(xi)/xi, xi = sqrt(lam ((1-z)^2 - (1-s)^2)), is kept purely as
-a test oracle.
+lam -> -lam.  The coefficients are constant, so both kernels have the
+closed form lam (1-s) I1(xi)/xi, xi = sqrt(lam ((1-z)^2 - (1-s)^2)), with
+J1 in place of I1 for lam < 0 (Smyshlyaev & Krstic, IEEE TAC 2004).  The
+solvers sample it; the tests check it against the characteristic-variable
+fixed point it solves.  Each kernel carries its samples times the tail
+quadrature weights, the matrix every transform and feedback evaluation
+applies.
 """
 from __future__ import annotations
 
@@ -29,19 +26,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import i1 as bessel_i1, j1 as bessel_j1
 
 from .disturbances import DisturbanceSignal
 from .errors import (
-    FixedPointDivergence,
     GridMismatch,
     IncompatibleInitialCondition,
+    NumericalFailure,
 )
 from .gains import backstepping_gain
 from .grids import (
     GridFunction,
-    cumulative_integral_o4,
     require_same_grid,
     simpson_weights,
     tail_quadrature_matrix,
@@ -56,6 +52,8 @@ class Kernel:
 
     grid: np.ndarray
     values: np.ndarray            # (M+1, M+1), zero below the diagonal
+    weighted: np.ndarray          # values * tail_quadrature_matrix(M): row i of
+                                  # weighted @ f is integral_{z_i}^1 k(z_i,s) f(s) ds
     norm: float                   # sqrt(int_0^1 int_z^1 k^2 ds dz)
     lam_bar: float
     direction: str                # "forward" | "inverse"
@@ -75,6 +73,9 @@ class ClosedLoopConfig:
     d: DisturbanceSignal | None = None
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.D, self.p, self.c)):
+            raise ValueError(f"D, p and c must be finite, got D={self.D}, p={self.p}, "
+                             f"c={self.c}")
         if self.D <= 0:
             raise ValueError("D must be positive")
         if self.c < 0:
@@ -85,76 +86,31 @@ class ClosedLoopConfig:
         return (self.p + self.c) / self.D
 
 
-def _kernel_fixed_point(lam: float, resolution: int) -> np.ndarray:
-    """Solve the characteristic-variable fixed point on [0,2] x [0,1]."""
-    m = resolution
-    h = 1.0 / m
-    xi = np.linspace(0.0, 2.0, 2 * m + 1)[:, None]
-    eta = np.linspace(0.0, 1.0, m + 1)[None, :]
-    base = lam * (xi - eta) / 4.0
-    g = base.copy()
-    diag_idx = np.arange(m + 1)
-    for iteration in range(200):
-        inner = cumulative_integral_o4(g, h, axis=1)
-        c_full = cumulative_integral_o4(inner, h, axis=0)
-        correction = lam / 4.0 * (c_full - c_full[diag_idx, diag_idx][None, :])
-        g_new = base + correction
-        delta = np.max(np.abs(g_new - g))
-        g = g_new
-        if delta <= 1e-10 * max(1.0, float(np.max(np.abs(g)))):
-            return g
-    raise FixedPointDivergence(
-        f"kernel iteration did not reach tolerance in 200 sweeps (delta={delta:.2e}); "
-        "resolution too coarse")
-
-
-def _triangle_from_characteristic(g: np.ndarray, resolution: int) -> np.ndarray:
-    """Map G(xi, eta) back to k(z, s) on the triangle z <= s."""
-    m = resolution
-    k = np.zeros((m + 1, m + 1))
-    i = np.arange(m + 1)[:, None]
-    j = np.arange(m + 1)[None, :]
-    mask = j >= i
-    k[mask] = g[(2 * m - i - j)[mask], (j - i)[mask]]
-    return k
-
-
-def _triangle_norm(values: np.ndarray, resolution: int) -> float:
-    w_tail = tail_quadrature_matrix(resolution)
-    inner = np.sum(w_tail * values * values, axis=1)
-    w_z = simpson_weights(resolution + 1) / resolution
-    return math.sqrt(max(float(w_z @ inner), 0.0))
-
-
-def _solve_kernel_signed(lam: float, resolution: int, direction: str) -> Kernel:
+def _checked_kernel(lam: float, resolution: int, direction: str) -> Kernel:
     if resolution < 32:
         raise ValueError("kernel resolution must be >= 32")
     if resolution % 2:
         raise ValueError("kernel resolution must be even")
-    if lam == 0.0:
-        values = np.zeros((resolution + 1, resolution + 1))
-    else:
-        g = _kernel_fixed_point(lam, resolution)
-        values = _triangle_from_characteristic(g, resolution)
-    return Kernel(uniform_grid(resolution), values,
-                  _triangle_norm(values, resolution), lam, direction)
+    return bessel_kernel(lam, resolution, direction)
 
 
 def solve_kernel(cfg: ClosedLoopConfig, resolution: int = 256) -> Kernel:
-    """Forward kernel of the stabilizing transform, by successive approximation."""
-    return _solve_kernel_signed(cfg.lam_bar, resolution, "forward")
+    """Forward kernel of the stabilizing transform (closed form at lam_bar)."""
+    return _checked_kernel(cfg.lam_bar, resolution, "forward")
 
 
 def solve_inverse_kernel(cfg: ClosedLoopConfig, resolution: int = 256) -> Kernel:
-    """Inverse kernel: same fixed point with the opposite sign of lam."""
-    return _solve_kernel_signed(-cfg.lam_bar, resolution, "inverse")
+    """Inverse kernel: the same closed form with the opposite sign of lam."""
+    return _checked_kernel(-cfg.lam_bar, resolution, "inverse")
 
 
 def bessel_kernel(lam: float, resolution: int = 256, direction: str = "forward") -> Kernel:
-    """Closed-form constant-coefficient kernel (test oracle only).
+    """Closed-form constant-coefficient kernel.
 
     k(z,s) = lam (1-s) f(xi)/xi with xi = sqrt(|lam| ((1-z)^2 - (1-s)^2)) and
-    f = I1 for lam > 0, J1 for lam < 0.
+    f = I1 for lam > 0, J1 for lam < 0.  Raises :class:`NumericalFailure`
+    when the samples or their norm overflow double precision (I1 does so
+    once xi passes about 713, i.e. lam beyond about 5e5).
     """
     grid = uniform_grid(resolution)
     z = grid[:, None]
@@ -163,27 +119,32 @@ def bessel_kernel(lam: float, resolution: int = 256, direction: str = "forward")
     xi = np.sqrt(abs(lam) * arg2)
     ratio = np.full_like(xi, 0.5)
     big = xi > 1e-8
-    if lam >= 0:
-        ratio[big] = bessel_i1(xi[big]) / xi[big]
-    else:
-        ratio[big] = bessel_j1(xi[big]) / xi[big]
-    values = lam * (1.0 - s) * ratio
-    values[np.arange(resolution + 1)[:, None] > np.arange(resolution + 1)[None, :]] = 0.0
-    return Kernel(grid, values, _triangle_norm(values, resolution), lam, direction)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lam >= 0:
+            ratio[big] = bessel_i1(xi[big]) / xi[big]
+        else:
+            ratio[big] = bessel_j1(xi[big]) / xi[big]
+        values = lam * (1.0 - s) * ratio
+        values[np.arange(resolution + 1)[:, None] > np.arange(resolution + 1)[None, :]] = 0.0
+        weighted = tail_quadrature_matrix(resolution) * values
+        w_z = simpson_weights(resolution + 1) / resolution
+        norm = math.sqrt(max(float(w_z @ np.sum(weighted * values, axis=1)), 0.0))
+    if not (np.all(np.isfinite(values)) and math.isfinite(norm)):
+        raise NumericalFailure(
+            f"kernel at lam_bar = {lam:.6g} overflows double precision")
+    return Kernel(grid, values, weighted, norm, lam, direction)
 
 
 def apply_transform(kernel: Kernel, f: GridFunction) -> GridFunction:
     """f(z) + integral_z^1 kernel(z,s) f(s) ds, fourth-order quadrature rows."""
     require_same_grid(f, kernel.grid)
-    w_tail = tail_quadrature_matrix(kernel.resolution)
-    return GridFunction(f.grid, f.values + (w_tail * kernel.values) @ f.values)
+    return GridFunction(f.grid, f.values + kernel.weighted @ f.values)
 
 
 def feedback_control(kernel: Kernel, y_state: GridFunction, d_value: float = 0.0) -> float:
     """u = d - integral_0^1 k(0,s) y(s) ds."""
     require_same_grid(y_state, kernel.grid)
-    w_tail = tail_quadrature_matrix(kernel.resolution)
-    return float(d_value - (w_tail[0] * kernel.values[0]) @ y_state.values)
+    return float(d_value - kernel.weighted[0] @ y_state.values)
 
 
 def reciprocity_residual(forward: Kernel, inverse: Kernel, stride: int = 8) -> float:
@@ -241,7 +202,8 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
 
     The inlet value u^{m+1} = d^{m+1} - integral k(0,s) y^{m+1} couples all
     unknowns through one dense row; the coupled step is solved exactly with
-    a rank-one (Sherman-Morrison) correction of the tridiagonal solve.
+    a rank-one (Sherman-Morrison) correction of the tridiagonal solve, whose
+    LU factors are computed once per run.
     """
     if cfg.d is None:
         raise ValueError("config carries no actuator-error signal d")
@@ -254,7 +216,7 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
     require_same_grid(y0, kernel.grid)
     h = 1.0 / m
 
-    w_feedback = tail_quadrature_matrix(m)[0] * kernel.values[0]
+    w_feedback = kernel.weighted[0]
     d0 = float(d.value(np.asarray(0.0)))
     u0 = d0 - float(w_feedback @ y0.values)
     scale = max(float(np.max(np.abs(y0.values))), abs(d0), 1.0)
@@ -270,24 +232,22 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
     rho = cfg.D / (h * h)
     a_diag = np.full(n_int, -2.0 * rho + cfg.p)
     a_off = np.full(n_int - 1, rho)
-    ab = np.zeros((3, n_int))
-    ab[0, 1:] = -0.5 * dt * a_off
-    ab[1, :] = 1.0 - 0.5 * dt * a_diag
-    ab[2, :-1] = -0.5 * dt * a_off
+    cn_off = -0.5 * dt * a_off
+    *cn_lu, info = dgttrf(cn_off, 1.0 - 0.5 * dt * a_diag, cn_off)
+    if info != 0:
+        raise NumericalFailure(f"Crank-Nicolson matrix is singular at dt = {dt:.6g}")
 
     w0 = float(w_feedback[0])
     w_int = w_feedback[1:-1] / (1.0 + w0)
     e1 = np.zeros(n_int)
     e1[0] = 1.0
-    x2 = solve_banded((1, 1), ab, e1)
+    x2 = dgttrs(*cn_lu, e1)[0]
     sm_denom = 1.0 + 0.5 * dt * rho * float(w_int @ x2)
 
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
-    store_at = set(_store_indices(n_steps, n_store))
-
-    w_simp = simpson_weights(m + 1)
-    grid = kernel.grid
+    store_at = _store_indices(n_steps, n_store)
+    store_set = set(store_at.tolist())
 
     def apply_a(v):
         out = a_diag * v
@@ -297,42 +257,36 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
 
     y_int = y0.values[1:-1].copy()
     u = u0
-    states, norms, times, dvals, uvals = [], [], [], [], []
-
-    def record(step, y_interior, u_val):
-        full = np.concatenate(([u_val], y_interior, [0.0]))
-        states.append(GridFunction(grid, full))
-        norms.append(math.sqrt(max(np.sum(w_simp * full * full) * h, 0.0)))
-        times.append(times_all[step])
-        dvals.append(d_all[step])
-        uvals.append(u_val)
-
-    if 0 in store_at:
-        record(0, y_int, u)
+    y_rows = np.zeros((store_at.size, m + 1))
+    uvals = np.empty(store_at.size)
+    y_rows[0, 1:-1], uvals[0] = y_int, u      # step 0 is always stored
+    stored = 1
     for step in range(n_steps):
         d_next = d_all[step + 1] / (1.0 + w0)
         rhs = y_int + 0.5 * dt * apply_a(y_int)
         rhs[0] += 0.5 * dt * rho * (u + d_next)
-        x1 = solve_banded((1, 1), ab, rhs)
+        x1 = dgttrs(*cn_lu, rhs)[0]
         y_int = x1 - (0.5 * dt * rho * float(w_int @ x1) / sm_denom) * x2
         u = d_next - float(w_int @ y_int)
-        if step + 1 in store_at:
-            record(step + 1, y_int, u)
+        if step + 1 in store_set:
+            y_rows[stored, 1:-1], uvals[stored] = y_int, u
+            stored += 1
+    y_rows[:, 0] = uvals
 
-    times = np.array(times)
+    times = times_all[store_at]
+    d_vals = d_all[store_at]
     run_max = _running_max_signal(d, times)
-    y_traj = Trajectory(times, states, np.array(norms), d, np.array(dvals),
-                        run_max, "closed-loop-cn", dt, h,
-                        extras={"control": np.array(uvals)})
+    w_simp = simpson_weights(m + 1)
+    grid = kernel.grid
 
-    x_states, x_norms = [], np.empty(times.size)
-    for i, st in enumerate(states):
-        xf = apply_transform(kernel, st)
-        x_states.append(xf)
-        x_norms[i] = math.sqrt(max(np.sum(w_simp * xf.values ** 2) * h, 0.0))
-    x_traj = Trajectory(times, x_states, x_norms, d, np.array(dvals),
-                        run_max, "closed-loop-transformed", dt, h)
-    return ClosedLoopResult(y_traj, x_traj, np.array(uvals), kernel, inverse_kernel)
+    def trajectory(rows, method, **fields):
+        norms = np.sqrt(np.maximum(np.sum(w_simp * rows * rows, axis=1) * h, 0.0))
+        return Trajectory(times, [GridFunction(grid, row) for row in rows], norms, d,
+                          d_vals, run_max, method, dt, h, **fields)
+
+    y_traj = trajectory(y_rows, "closed-loop-cn", extras={"control": uvals})
+    x_traj = trajectory(y_rows + y_rows @ kernel.weighted.T, "closed-loop-transformed")
+    return ClosedLoopResult(y_traj, x_traj, uvals, kernel, inverse_kernel)
 
 
 def closed_loop_bound(cfg: ClosedLoopConfig, kernel_norm: float,

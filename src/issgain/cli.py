@@ -41,7 +41,14 @@ from .pde_sim import (
     simulate_via_lifting,
     verify_iss,
 )
-from .backstepping import ClosedLoopConfig, closed_loop_bound, simulate_closed_loop, solve_kernel, solve_inverse_kernel
+from .backstepping import (
+    ClosedLoopConfig,
+    apply_transform,
+    closed_loop_bound,
+    simulate_closed_loop,
+    solve_inverse_kernel,
+    solve_kernel,
+)
 from .sturm_liouville import check_hypothesis_H, solve_spectrum, solve_steady_bvp
 
 
@@ -115,9 +122,12 @@ def _parse_a(value) -> float:
     if value in ("inf", "+inf", "infinity"):
         return math.inf
     try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"--a must be a number or 'inf', got {value!r}") from exc
+        a = float(value)
+    except ValueError:
+        a = math.nan
+    if math.isnan(a):
+        raise ConfigError(f"--a must be a nonnegative number or 'inf', got {value!r}")
+    return a
 
 
 def _problem_from_args(args):
@@ -240,7 +250,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_from_args(args, problem, traj) -> int:
+def _verify_from_args(args, problem, traj, spectrum, closed_loop) -> int:
+    """Check the envelope on ``traj``, reusing the command's spectrum or closed loop."""
     eps = tuple(float(e) for e in args.eps.split(","))
     if args.solver == "advection":
         v, k, d_ref = args.v, args.k, args.weight_D or args.D
@@ -249,11 +260,10 @@ def _verify_from_args(args, problem, traj) -> int:
                                epsilon_dependent=False, max_window=1.0 / v)
     elif args.solver == "closed-loop":
         cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c)
-        kn = solve_kernel(cfg, 128)
-        ln = solve_inverse_kernel(cfg, 128)
-        envelope = closed_loop_bound(cfg, kn.norm, ln.norm)
+        envelope = closed_loop_bound(cfg, closed_loop.kernel.norm,
+                                     closed_loop.inverse_kernel.norm)
     else:
-        envelope = IssEnvelope.from_gain_report(gain_bvp(problem))
+        envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
     csvio.write_csv(csvio.ISS_HEADER, csvio.iss_report_rows(report), args.iss_output)
     return 0 if report.passed else 2
@@ -263,6 +273,7 @@ def cmd_simulate(args) -> int:
     if args.store < 1:
         raise ConfigError(f"--store must be at least 1, got {args.store}")
     d = _signal_from_args(args)
+    problem = spectrum = closed_loop = None
     if args.solver == "advection":
         if not args.v > 0:
             raise ConfigError(f"--v must be positive for the advection solver, got {args.v}")
@@ -275,20 +286,17 @@ def cmd_simulate(args) -> int:
         traj = advection_exact(args.v, args.k, d, y0, args.T,
                                resolution=args.resolution,
                                weight_D=args.weight_D or args.D, n_store=args.store)
-        problem = None
     elif args.solver == "closed-loop":
         cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c, d=d)
         kernel = solve_kernel(cfg, args.resolution)
         inverse = solve_inverse_kernel(cfg, args.resolution)
-        from .backstepping import apply_transform
         grid = kernel.grid
         d0 = float(d.value(np.asarray(0.0)))
         x0 = GridFunction(grid, d0 * (1.0 - grid) + 0.5 * args.amplitude * np.sin(math.pi * grid))
         y0 = apply_transform(inverse, x0)
         result = simulate_closed_loop(cfg, y0, args.dt, args.T, kernel=kernel,
                                       inverse_kernel=inverse, n_store=args.store)
-        traj = result.y
-        problem = None
+        traj, closed_loop = result.y, result
         if args.kernel_output:
             csvio.write_csv(csvio.KERNEL_HEADER, csvio.kernel_rows(kernel),
                             args.kernel_output)
@@ -309,7 +317,7 @@ def cmd_simulate(args) -> int:
     csvio.write_csv(csvio.trajectory_header(traj, args.wide),
                     csvio.trajectory_rows(traj, args.wide), args.output)
     if args.verify_iss:
-        return _verify_from_args(args, problem, traj)
+        return _verify_from_args(args, problem, traj, spectrum, closed_loop)
     return 0
 
 

@@ -104,38 +104,6 @@ def derivative_at_right(values: np.ndarray, h: float) -> float:
     return float((25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h))
 
 
-def cumulative_integral_o4(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Fourth-order cumulative integral along ``axis`` (antiderivative, 0 at start).
-
-    Uses the 4-point Adams-Moulton-type corrector
-    ``I[i+1] = I[i] + h/24 (-f[i-1] + 13 f[i] + 13 f[i+1] - f[i+2])``
-    with one-sided variants at the ends; exact for cubics.
-    """
-    f = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    n = f.shape[-1]
-    out = np.zeros_like(f)
-    if n == 1:
-        return np.moveaxis(out, -1, axis)
-    if n == 2:
-        out[..., 1] = 0.5 * h * (f[..., 0] + f[..., 1])
-        return np.moveaxis(out, -1, axis)
-    if n == 3:
-        out[..., 1] = h / 12.0 * (5 * f[..., 0] + 8 * f[..., 1] - f[..., 2])
-        out[..., 2] = out[..., 1] + h / 12.0 * (-f[..., 0] + 8 * f[..., 1] + 5 * f[..., 2])
-        return np.moveaxis(out, -1, axis)
-    inc = np.empty(f.shape[:-1] + (n - 1,))
-    inc[..., 0] = h / 24.0 * (9 * f[..., 0] + 19 * f[..., 1] - 5 * f[..., 2] + f[..., 3])
-    inc[..., 1:-1] = h / 24.0 * (
-        -f[..., :-3] + 13 * f[..., 1:-2] + 13 * f[..., 2:-1] - f[..., 3:]
-    )
-    inc[..., -1] = h / 24.0 * (
-        f[..., -4] - 5 * f[..., -3] + 19 * f[..., -2] + 9 * f[..., -1]
-    )
-    np.cumsum(inc, axis=-1, out=inc)
-    out[..., 1:] = inc
-    return np.moveaxis(out, -1, axis)
-
-
 def tail_quadrature_matrix(resolution: int) -> np.ndarray:
     """Row ``i`` holds quadrature weights for ``integral from z_i to 1``.
 

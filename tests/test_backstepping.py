@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import issgain.backstepping as backstepping
 from issgain import (
     ClosedLoopConfig,
     DisturbanceSignal,
     GridFunction,
     IncompatibleInitialCondition,
+    NumericalFailure,
     apply_transform,
     bessel_kernel,
     closed_loop_bound,
@@ -19,9 +22,107 @@ from issgain import (
     uniform_grid,
     verify_iss,
 )
+from issgain.grids import simpson_weights, tail_quadrature_matrix
 
 # dblquad of the closed-form kernel squared over the triangle, lam = 5
 BESSEL_NORM_LAM5 = 0.8602171154643504
+
+
+# Reference for the closed-form kernels: the characteristic-variable fixed
+# point of the kernel equations, solved by successive approximation.  With
+# xi = (1-z)+(1-s), eta = (1-z)-(1-s) the kernel k(z,s) = G(xi,eta) solves
+#
+#     G(xi,eta) = lam (xi-eta)/4
+#                 + lam/4 integral_eta^xi integral_0^eta G(tau,sigma) dsigma dtau,
+#
+# whose series converges for every lam like a Bessel series.
+
+def cumulative_integral_o4(values, h, axis=-1):
+    """Fourth-order cumulative integral along ``axis`` (antiderivative, 0 at start).
+
+    Uses the 4-point Adams-Moulton-type corrector
+    ``I[i+1] = I[i] + h/24 (-f[i-1] + 13 f[i] + 13 f[i+1] - f[i+2])``
+    with one-sided variants at the ends; exact for cubics.
+    """
+    f = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    n = f.shape[-1]
+    out = np.zeros_like(f)
+    if n == 1:
+        return np.moveaxis(out, -1, axis)
+    if n == 2:
+        out[..., 1] = 0.5 * h * (f[..., 0] + f[..., 1])
+        return np.moveaxis(out, -1, axis)
+    if n == 3:
+        out[..., 1] = h / 12.0 * (5 * f[..., 0] + 8 * f[..., 1] - f[..., 2])
+        out[..., 2] = out[..., 1] + h / 12.0 * (-f[..., 0] + 8 * f[..., 1] + 5 * f[..., 2])
+        return np.moveaxis(out, -1, axis)
+    inc = np.empty(f.shape[:-1] + (n - 1,))
+    inc[..., 0] = h / 24.0 * (9 * f[..., 0] + 19 * f[..., 1] - 5 * f[..., 2] + f[..., 3])
+    inc[..., 1:-1] = h / 24.0 * (
+        -f[..., :-3] + 13 * f[..., 1:-2] + 13 * f[..., 2:-1] - f[..., 3:]
+    )
+    inc[..., -1] = h / 24.0 * (
+        f[..., -4] - 5 * f[..., -3] + 19 * f[..., -2] + 9 * f[..., -1]
+    )
+    np.cumsum(inc, axis=-1, out=inc)
+    out[..., 1:] = inc
+    return np.moveaxis(out, -1, axis)
+
+
+def kernel_fixed_point(lam, resolution):
+    """Solve the characteristic-variable fixed point on [0,2] x [0,1]."""
+    m = resolution
+    h = 1.0 / m
+    xi = np.linspace(0.0, 2.0, 2 * m + 1)[:, None]
+    eta = np.linspace(0.0, 1.0, m + 1)[None, :]
+    base = lam * (xi - eta) / 4.0
+    g = base.copy()
+    diag_idx = np.arange(m + 1)
+    for _ in range(200):
+        inner = cumulative_integral_o4(g, h, axis=1)
+        c_full = cumulative_integral_o4(inner, h, axis=0)
+        correction = lam / 4.0 * (c_full - c_full[diag_idx, diag_idx][None, :])
+        g_new = base + correction
+        delta = np.max(np.abs(g_new - g))
+        g = g_new
+        if delta <= 1e-10 * max(1.0, float(np.max(np.abs(g)))):
+            return g
+    raise AssertionError(f"kernel iteration did not reach tolerance (delta={delta:.2e})")
+
+
+def triangle_from_characteristic(g, resolution):
+    """Map G(xi, eta) back to k(z, s) on the triangle z <= s."""
+    m = resolution
+    k = np.zeros((m + 1, m + 1))
+    i = np.arange(m + 1)[:, None]
+    j = np.arange(m + 1)[None, :]
+    mask = j >= i
+    k[mask] = g[(2 * m - i - j)[mask], (j - i)[mask]]
+    return k
+
+
+def triangle_norm(values):
+    m = values.shape[0] - 1
+    inner = np.sum(tail_quadrature_matrix(m) * values * values, axis=1)
+    return math.sqrt((simpson_weights(m + 1) / m) @ inner)
+
+
+def test_cumulative_o4_exact_on_cubics():
+    g = uniform_grid(32)
+    vals = g**3 - 2 * g + 1
+    exact = g**4 / 4 - g**2 + g
+    cum = cumulative_integral_o4(vals, 1 / 32)
+    assert np.max(np.abs(cum - exact)) < 1e-14
+
+
+def test_cumulative_o4_order_on_sine():
+    errs = []
+    for m in (32, 64):
+        g = uniform_grid(m)
+        cum = cumulative_integral_o4(np.sin(3 * g), 1 / m)
+        exact = (1 - np.cos(3 * g)) / 3
+        errs.append(np.max(np.abs(cum - exact)))
+    assert errs[0] / errs[1] > 12  # fourth order: factor 16 under halving
 
 
 class TestKernels:
@@ -43,8 +144,32 @@ class TestKernels:
         assert np.max(np.abs(diag - 5.0 * (1 - grid) / 2)) < 1e-9
         assert np.max(np.abs(forward.values[:, -1])) < 1e-9
 
+    @pytest.mark.parametrize("p, c", [(5.0, 2.0), (1.0, 0.5), (3.0, 1.0)])
+    def test_closed_forms_solve_the_fixed_point(self, p, c):
+        cfg = ClosedLoopConfig(D=1.0, p=p, c=c)
+        m = 256
+        for kernel, lam in ((solve_kernel(cfg, m), cfg.lam_bar),
+                            (solve_inverse_kernel(cfg, m), -cfg.lam_bar)):
+            oracle = triangle_from_characteristic(kernel_fixed_point(lam, m), m)
+            assert np.max(np.abs(kernel.values - oracle)) < 1e-10
+            assert abs(kernel.norm - triangle_norm(oracle)) < 1e-9
+
+    def test_overflow_is_a_numerical_failure(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="overflow"):
+                bessel_kernel(1e6, 64)
+            with pytest.raises(NumericalFailure, match="overflow"):
+                solve_kernel(ClosedLoopConfig(D=1.0, p=1e6, c=0.0), 64)
+
+    def test_non_finite_parameters_rejected(self):
+        for field in ("D", "p", "c"):
+            for bad in (math.nan, math.inf):
+                params = {"D": 1.0, "p": 3.0, "c": 1.0, field: bad}
+                with pytest.raises(ValueError, match="finite"):
+                    ClosedLoopConfig(**params)
+
     def test_zero_rate_kernel_vanishes(self):
-        cfg = ClosedLoopConfig(D=1.0, p=2.0, c=-0.0)
         k = solve_kernel(ClosedLoopConfig(D=1.0, p=0.0, c=0.0), 64)
         assert np.max(np.abs(k.values)) == 0.0
         assert k.norm == 0.0
@@ -202,6 +327,32 @@ class TestClosedLoop:
         r1 = residual(64, 5e-4)
         r2 = residual(128, 2.5e-4)
         assert 3.0 <= r1 / r2 <= 5.0
+
+    def test_work_per_run(self, monkeypatch):
+        # with both kernels given, the run transforms every stored state with
+        # the kernel's own matrix: no quadrature rebuild per state
+        cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.sinusoid(1.0, 2.0))
+        kernel = solve_kernel(cfg, 64)
+        inverse = solve_inverse_kernel(cfg, 64)
+        y0 = apply_transform(inverse, GridFunction(kernel.grid, np.sin(math.pi * kernel.grid)))
+        calls = {"tail_quadrature_matrix": 0, "apply_transform": 0}
+
+        def counted(name):
+            original = getattr(backstepping, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(backstepping, name, wrapper)
+
+        counted("tail_quadrature_matrix")
+        counted("apply_transform")
+        result = simulate_closed_loop(cfg, y0, 1e-3, 0.1, kernel=kernel,
+                                      inverse_kernel=inverse, n_store=50)
+        assert calls["tail_quadrature_matrix"] <= 2
+        assert calls["apply_transform"] == 0
+        x_ref = [apply_transform(kernel, st).values for st in result.y.states]
+        assert np.max(np.abs(result.x.state_matrix() - np.array(x_ref))) <= 1e-13
 
     def test_incompatible_initial_state(self):
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(1.0))

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import issgain.backstepping
+import issgain.cli
+import issgain.gains
 from issgain.cli import main
 
 CONFIG_OK = """\
@@ -89,6 +93,12 @@ class TestGainCommand:
         assert main(["gain", "--config", str(cfg), "--modes", "16"]) == 1
 
 
+    def test_nan_exit_parameter_message(self, capsys):
+        assert main(["gain", "--case", "transport", "--a", "nan"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --a must be a nonnegative number or 'inf'")
+
+
 class TestSweepCommand:
     def test_default_properties(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
@@ -168,6 +178,50 @@ class TestSimulateCommand:
         assert lines[0] == "epsilon,min_margin,argmin_t,pass"
         assert all(ln.endswith(",1") for ln in lines[1:])
 
+    def test_closed_loop_solves_each_kernel_once(self, tmp_path, monkeypatch):
+        calls = {"solve_kernel": 0, "solve_inverse_kernel": 0}
+        for name in calls:
+            original = getattr(issgain.backstepping, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(issgain.backstepping, name, counted)
+            monkeypatch.setattr(issgain.cli, name, counted)
+        code = main(["simulate", "--solver", "closed-loop", "--resolution", "64",
+                     "--T", "0.2", "--output", str(tmp_path / "cl.csv"),
+                     "--verify-iss", "--iss-output", str(tmp_path / "iss.csv")])
+        assert code == 0
+        assert calls == {"solve_kernel": 1, "solve_inverse_kernel": 1}
+
+    @pytest.mark.parametrize("solver", ["spectral", "lifted"])
+    def test_spectral_verify_solves_spectrum_once(self, tmp_path, monkeypatch, solver):
+        calls = []
+        original = issgain.cli.solve_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(issgain.cli, "solve_spectrum", counted)
+        monkeypatch.setattr(issgain.gains, "solve_spectrum", counted)
+        code = main(["simulate", "--solver", solver, "--case", "transport",
+                     "--resolution", "128", "--T", "0.4", "--modes", "16",
+                     "--disturbance", "sinusoid", "--output", str(tmp_path / "t.csv"),
+                     "--verify-iss", "--iss-output", str(tmp_path / "iss.csv")])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_closed_loop_kernel_overflow_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "cl.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--solver", "closed-loop", "--plant-p", "1e6",
+                         "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: kernel")
+        assert "overflow" in err
+        assert not out.exists()
+
     def test_verify_iss_fd(self, tmp_path):
         traj, iss = tmp_path / "t.csv", tmp_path / "i.csv"
         code = main(["simulate", "--solver", "fd", "--case", "transport",
@@ -185,6 +239,8 @@ class TestRejectedInputs:
         ["simulate", "--solver", "lifted", "--store", "-3"],
         ["simulate", "--solver", "advection", "--v", "0"],
         ["sweep-fig1", "--points", "0"],
+        ["simulate", "--solver", "closed-loop", "--plant-p", "nan"],
+        ["simulate", "--solver", "closed-loop", "--D", "inf"],
     ])
     def test_exit_three_without_traceback(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"

@@ -4,7 +4,6 @@ import pytest
 from issgain.errors import GridMismatch
 from issgain.grids import (
     GridFunction,
-    cumulative_integral_o4,
     derivative_at_left,
     derivative_at_right,
     integrate_simpson,
@@ -33,24 +32,6 @@ def test_simpson_exact_on_cubics():
 def test_simpson_needs_even_intervals():
     with pytest.raises(ValueError):
         simpson_weights(4)
-
-
-def test_cumulative_o4_exact_on_cubics():
-    g = uniform_grid(32)
-    vals = g**3 - 2 * g + 1
-    exact = g**4 / 4 - g**2 + g
-    cum = cumulative_integral_o4(vals, 1 / 32)
-    assert np.max(np.abs(cum - exact)) < 1e-14
-
-
-def test_cumulative_o4_order_on_sine():
-    errs = []
-    for m in (32, 64):
-        g = uniform_grid(m)
-        cum = cumulative_integral_o4(np.sin(3 * g), 1 / m)
-        exact = (1 - np.cos(3 * g)) / 3
-        errs.append(np.max(np.abs(cum - exact)))
-    assert errs[0] / errs[1] > 12  # fourth order: factor 16 under halving
 
 
 def test_tail_matrix_exact_on_cubics():
