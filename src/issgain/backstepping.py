@@ -43,7 +43,13 @@ from .grids import (
     tail_quadrature_matrix,
     uniform_grid,
 )
-from .pde_sim import IssEnvelope, Trajectory, _running_max_signal, _store_indices
+from .pde_sim import (
+    IssEnvelope,
+    Trajectory,
+    _row_norms,
+    _running_max_signal,
+    _store_indices,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +253,6 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
-    store_set = set(store_at.tolist())
 
     def apply_a(v):
         out = a_diag * v
@@ -260,29 +265,24 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
     y_rows = np.zeros((store_at.size, m + 1))
     uvals = np.empty(store_at.size)
     y_rows[0, 1:-1], uvals[0] = y_int, u      # step 0 is always stored
-    stored = 1
-    for step in range(n_steps):
-        d_next = d_all[step + 1] / (1.0 + w0)
-        rhs = y_int + 0.5 * dt * apply_a(y_int)
-        rhs[0] += 0.5 * dt * rho * (u + d_next)
-        x1 = dgttrs(*cn_lu, rhs)[0]
-        y_int = x1 - (0.5 * dt * rho * float(w_int @ x1) / sm_denom) * x2
-        u = d_next - float(w_int @ y_int)
-        if step + 1 in store_set:
-            y_rows[stored, 1:-1], uvals[stored] = y_int, u
-            stored += 1
+    for k in range(1, store_at.size):
+        for step in range(store_at[k - 1], store_at[k]):
+            d_next = d_all[step + 1] / (1.0 + w0)
+            rhs = y_int + 0.5 * dt * apply_a(y_int)
+            rhs[0] += 0.5 * dt * rho * (u + d_next)
+            x1 = dgttrs(*cn_lu, rhs)[0]
+            y_int = x1 - (0.5 * dt * rho * float(w_int @ x1) / sm_denom) * x2
+            u = d_next - float(w_int @ y_int)
+        y_rows[k, 1:-1], uvals[k] = y_int, u
     y_rows[:, 0] = uvals
 
     times = times_all[store_at]
     d_vals = d_all[store_at]
     run_max = _running_max_signal(d, times)
-    w_simp = simpson_weights(m + 1)
-    grid = kernel.grid
 
     def trajectory(rows, method, **fields):
-        norms = np.sqrt(np.maximum(np.sum(w_simp * rows * rows, axis=1) * h, 0.0))
-        return Trajectory(times, [GridFunction(grid, row) for row in rows], norms, d,
-                          d_vals, run_max, method, dt, h, **fields)
+        return Trajectory(times, rows, kernel.grid, _row_norms(rows, h), d, d_vals, run_max,
+                          method, dt, h, **fields)
 
     y_traj = trajectory(y_rows, "closed-loop-cn", extras={"control": uvals})
     x_traj = trajectory(y_rows + y_rows @ kernel.weighted.T, "closed-loop-transformed")

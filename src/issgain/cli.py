@@ -293,9 +293,14 @@ def cmd_simulate(args) -> int:
         grid = kernel.grid
         d0 = float(d.value(np.asarray(0.0)))
         x0 = GridFunction(grid, d0 * (1.0 - grid) + 0.5 * args.amplitude * np.sin(math.pi * grid))
-        y0 = apply_transform(inverse, x0)
-        result = simulate_closed_loop(cfg, y0, args.dt, args.T, kernel=kernel,
-                                      inverse_kernel=inverse, n_store=args.store)
+        y0 = apply_transform(inverse, x0).values
+        # the discrete transform pair is inverse only to quadrature error, so solve the
+        # feedback identity y0(0) = d0 - integral k(0,s) y0(s) ds for y0(0)
+        w = kernel.weighted[0]
+        y0[0] = (d0 - w[1:] @ y0[1:]) / (1.0 + w[0])
+        result = simulate_closed_loop(cfg, GridFunction(grid, y0), args.dt, args.T,
+                                      kernel=kernel, inverse_kernel=inverse,
+                                      n_store=args.store)
         traj, closed_loop = result.y, result
         if args.kernel_output:
             csvio.write_csv(csvio.KERNEL_HEADER, csvio.kernel_rows(kernel),

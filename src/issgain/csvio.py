@@ -51,7 +51,7 @@ def trajectory_rows(traj, wide: bool = False):
         if control is not None:
             base.append(control[i])
         if wide:
-            yield (*base, *traj.states[i].values)
+            yield (*base, *traj.values[i])
         else:
             yield tuple(base)
 
@@ -61,7 +61,7 @@ def trajectory_header(traj, wide: bool = False) -> str:
     if traj.extras.get("control") is not None:
         head += ",u"
     if wide:
-        head += "," + ",".join(f"x[{j}]" for j in range(traj.states[0].values.size))
+        head += "," + ",".join(f"x[{j}]" for j in range(traj.grid.size))
     return head
 
 

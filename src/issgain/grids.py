@@ -49,11 +49,6 @@ class GridFunction:
     def resolution(self) -> int:
         return self.grid.size - 1
 
-    @classmethod
-    def from_callable(cls, fn, resolution: int) -> "GridFunction":
-        grid = uniform_grid(resolution)
-        return cls(grid, np.asarray(fn(grid), dtype=float))
-
     def value_at_left(self) -> float:
         return float(self.values[0])
 

@@ -19,40 +19,62 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .disturbances import DisturbanceSignal, _quadratic_exp_quadrature
 from .errors import (
     CompatibilityWarning,
     IncompatibleInitialCondition,
     MissingEnvelopeParameters,
+    NumericalFailure,
     StabilityWarning,
     TruncationWarning,
-    UncertifiedHypothesis,
 )
-from .gains import GainReport
+from .gains import GainReport, _certify
 from .grids import GridFunction, require_same_grid, simpson_weights, uniform_grid
 from .sturm_liouville import (
     SLProblem,
     Spectrum,
-    check_hypothesis_H,
+    _assemble,
     fourier_coefficients,
-    weighted_norm,
 )
 
 DEFAULT_STORE = 160
 
 
+class StateView(Sequence):
+    """The stored states of a trajectory as a sequence of GridFunctions,
+    each built from its row when it is read."""
+
+    def __init__(self, values: np.ndarray, grid: np.ndarray):
+        self._values = values
+        self._grid = grid
+
+    def __len__(self) -> int:
+        return self._values.shape[0]
+
+    def __getitem__(self, i: int) -> GridFunction:
+        return GridFunction(self._grid, self._values[i])
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-indexed states with precomputed weighted norms."""
+    """Stored states as one (n_times, n_nodes) array over ``grid``, with
+    their weighted norms.
+
+    Row i of ``values`` is the state at ``times[i]``.  The array is checked
+    finite once, here, and made read-only; ``states`` wraps a row in a
+    GridFunction only when that row is read.
+    """
 
     times: np.ndarray
-    states: list
+    values: np.ndarray
+    grid: np.ndarray
     norms: np.ndarray
     disturbance: DisturbanceSignal
     d_values: np.ndarray
@@ -62,12 +84,31 @@ class Trajectory:
     dz: float
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.times.size, self.grid.size):
+            raise ValueError("values must have shape (number of times, number of nodes)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def states(self) -> StateView:
+        return StateView(self.values, self.grid)
+
     @property
     def final_state(self) -> GridFunction:
-        return self.states[-1]
+        return GridFunction(self.grid, self.values[-1])
 
     def state_matrix(self) -> np.ndarray:
-        return np.vstack([s.values for s in self.states])
+        return self.values
+
+
+def _row_norms(values: np.ndarray, h: float, weight=1.0) -> np.ndarray:
+    """Simpson weighted L2 norm of each row of ``values``."""
+    w = simpson_weights(values.shape[-1]) * weight
+    return np.sqrt(np.maximum(h * np.sum(w * values * values, axis=-1), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +162,21 @@ def lift_disturbance(problem: SLProblem, d: DisturbanceSignal) -> LiftingRecord:
 
 
 def _semidiscrete_operator(problem: SLProblem):
-    """A, load direction and active window of x' = A x + d(t) load."""
-    m = problem.resolution
-    h = 1.0 / m
-    pn, qn, rn, ph = problem.sample(m)
-    lo = 1 if problem.b2 == 0.0 else 0
-    hi = m - 1 if problem.a2 == 0.0 else m
-    n = hi - lo + 1
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    load = np.zeros(n)
-    for j in range(n):
-        i = lo + j
-        if i == 0:
-            # half-cell balance: r0 (h/2) x0' = p_{1/2}(x1-x0)/h - p(0) x'(0),
-            # with x'(0) = (d - b1 x0)/b2 eliminated through the inlet condition
-            diag[j] = (-2.0 * ph[0] / (rn[0] * h * h)
-                       + 2.0 * pn[0] * problem.b1 / (problem.b2 * rn[0] * h)
-                       - qn[0] / rn[0])
-            upper[j] = 2.0 * ph[0] / (rn[0] * h * h)
-            load[j] = -2.0 * pn[0] / (problem.b2 * rn[0] * h)
-        elif i == m:
-            diag[j] = (-2.0 * ph[m - 1] / (rn[m] * h * h)
-                       - 2.0 * pn[m] * problem.a1 / (problem.a2 * rn[m] * h)
-                       - qn[m] / rn[m])
-            lower[j] = 2.0 * ph[m - 1] / (rn[m] * h * h)
-        else:
-            lower[j] = ph[i - 1] / (rn[i] * h * h)
-            upper[j] = ph[i] / (rn[i] * h * h)
-            diag[j] = -(ph[i - 1] + ph[i]) / (rn[i] * h * h) - qn[i] / rn[i]
+    """Sub-, main and super-diagonal of A, load direction and active window
+    of x' = A x + d(t) load, where A = -M^{-1} T on the active nodes of the
+    finite-volume stiffness T and lumped mass M of ``_assemble``."""
+    diag, off, mass, lo, hi = _assemble(problem, problem.resolution)
+    active = mass[lo:hi + 1]
+    coupling = off[lo:hi]
+    load = np.zeros(hi - lo + 1)
     if problem.b2 == 0.0:
-        load[0] = ph[0] / (rn[1] * h * h) / problem.b1
-    return lower, diag, upper, load, lo, hi
+        # the Dirichlet inlet value d/b1 couples into the first active node
+        load[0] = -off[0] / active[0] / problem.b1
+    else:
+        # the inlet flux p(0) x'(0) = p(0) (d - b1 x(0))/b2 enters the half cell
+        load[0] = -float(problem.p(np.zeros(1))[0]) / problem.b2 / active[0]
+    return (-coupling / active[1:], -diag[lo:hi + 1] / active, -coupling / active[:-1],
+            load, lo, hi)
 
 
 def _require_store(n_store: int):
@@ -198,9 +221,11 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
     """Crank-Nicolson run of the boundary-disturbed equation.
 
     The time-varying inlet datum enters through the scheme average of the
-    two levels (equivalent to evaluation at the half-step to second order);
-    the tridiagonal system is solved each step.  Incompatible initial data
-    are projected with a warning.
+    two levels (equivalent to evaluation at the half-step to second order).
+    The tridiagonal matrix I - (dt/2) A is LU-factored once per run and each
+    step is one solve with those factors; a zero pivot raises
+    :class:`NumericalFailure`.  Stored steps fill one array in place.
+    Incompatible initial data are projected with a warning.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("dt and T must be positive")
@@ -213,70 +238,47 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
 
     n_steps = max(1, math.ceil(T / dt))
     dt = T / n_steps
-    lower, diag, upper, load, lo, hi = _semidiscrete_operator(problem)
-    n = hi - lo + 1
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
+    half = 0.5 * dt
+    sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
+    *cn_lu, info = dgttrf(-half * sub, 1.0 - half * diag, -half * sup)
+    if info != 0:
+        raise NumericalFailure(f"Crank-Nicolson matrix is singular at dt = {dt:.6g}")
 
-    m = problem.resolution
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
+    # load has one nonzero, its first entry: the inlet term of each step's right side
+    inlet_terms = half * load[0] * (d_all[:-1] + d_all[1:])
     d_half = np.asarray(d.value(times_all[:-1] + dt / 2.0))
     run_max = np.maximum.accumulate(np.abs(d_all))
     run_max[1:] = np.maximum(run_max[1:], np.maximum.accumulate(np.abs(d_half)))
 
-    store_at = _store_indices(n_steps, n_store)
-    w_simp = simpson_weights(m + 1)
-    rn = problem.r(problem.grid)
-    h = problem.spacing
-
-    def full_state(x_active, dval):
-        full = np.zeros(m + 1)
-        full[lo:hi + 1] = x_active
-        if problem.b2 == 0.0:
-            full[0] = dval / problem.b1
-        return full
-
     def apply_a(x):
         out = diag * x
-        out[:-1] += upper[:-1] * x[1:]
-        out[1:] += lower[1:] * x[:-1]
+        out[:-1] += sup * x[1:]
+        out[1:] += sub * x[:-1]
         return out
 
+    store_at = _store_indices(n_steps, n_store)
+    values = np.zeros((store_at.size, problem.resolution + 1))
     x = x0.values[lo:hi + 1].copy()
-    states, norms, times, dvals, rmax = [], [], [], [], []
+    values[0, lo:hi + 1] = x                  # step 0 is always stored
+    for k in range(1, store_at.size):
+        for step in range(store_at[k - 1], store_at[k]):
+            rhs = x + half * apply_a(x)
+            rhs[0] += inlet_terms[step]
+            x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
+        values[k, lo:hi + 1] = x
+    if problem.b2 == 0.0:
+        values[:, 0] = d_all[store_at] / problem.b1
 
-    def record(step, x_active):
-        full = full_state(x_active, d_all[step])
-        states.append(GridFunction(problem.grid, full))
-        norms.append(math.sqrt(max(h * np.sum(w_simp * rn * full * full), 0.0)))
-        times.append(times_all[step])
-        dvals.append(d_all[step])
-        rmax.append(run_max[step])
-
-    if 0 in store_at:
-        record(0, x)
-    for step in range(n_steps):
-        rhs = x + 0.5 * dt * apply_a(x) + 0.5 * dt * load * (d_all[step] + d_all[step + 1])
-        x = solve_banded((1, 1), ab, rhs)
-        if step + 1 in store_at:
-            record(step + 1, x)
-
-    return Trajectory(np.array(times), states, np.array(norms), d,
-                      np.array(dvals), np.array(rmax), "crank-nicolson", dt, h)
+    h = problem.spacing
+    norms = _row_norms(values, h, problem.r(problem.grid))
+    return Trajectory(times_all[store_at], values, problem.grid, norms, d,
+                      d_all[store_at], run_max[store_at], "crank-nicolson", dt, h)
 
 
 # ---------------------------------------------------------------------------
 # spectral routes
-
-
-def _certified(problem: SLProblem, spectrum: Spectrum):
-    report = check_hypothesis_H(spectrum, problem)
-    if not report.certified:
-        raise UncertifiedHypothesis(
-            f"hypothesis not certified (lambda1={report.lambda1:.6g}, method={report.method})")
 
 
 def _running_max_signal(d: DisturbanceSignal, times: np.ndarray) -> np.ndarray:
@@ -304,7 +306,7 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
     the inlet misses the boundary value (the expansion converges in the
     weighted L2 norm only), which is reported as a TruncationWarning.
     """
-    _certified(problem, spectrum)
+    _certify(problem, spectrum)
     if N < 1 or N > spectrum.n_modes:
         raise ValueError("need 1 <= N <= number of computed modes")
     require_same_grid(x0, problem.grid)
@@ -324,13 +326,15 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
         conv = d.exp_convolution(lam, t0, t1)
         coeffs[i] = decay * coeffs[i - 1] + kappa / s * conv
 
-    states = [GridFunction(spectrum.grid, coeffs[i] @ spectrum.eigenfunctions[:N])
-              for i in range(times.size)]
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     d_values = np.asarray(d.value(times))
-    run_max = _running_max_signal(d, times)
+    traj = Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms, d,
+                      d_values, _running_max_signal(d, times), "spectral",
+                      times[1] - times[0], problem.spacing,
+                      extras={"coefficients": coeffs, "coupling": kappa / s,
+                              "eigenvalues": lam})
 
-    final = states[-1]
+    final = traj.final_state
     mismatch = abs(problem.b1 * final.value_at_left()
                    + problem.b2 * final.derivative_at_left() - d_values[-1])
     if mismatch > 0.05 * max(np.max(np.abs(d_values)), 1e-12):
@@ -338,11 +342,7 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
             f"reconstruction misses the inlet value by {mismatch:.3e} "
             "(expected: the expansion converges in the weighted L2 norm only)",
             TruncationWarning, stacklevel=2)
-
-    return Trajectory(times, states, norms, d, d_values, run_max,
-                      "spectral", times[1] - times[0], problem.spacing,
-                      extras={"coefficients": coeffs, "coupling": kappa / s,
-                              "eigenvalues": lam})
+    return traj
 
 
 class LiftedForcing:
@@ -409,7 +409,7 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
     c(t1) = e^{-lam dt} c(t0) + (theta(t1) - e^{-lam dt} theta(t0))/lam
             - lam^{-1} integral e^{-lam (t1-s)} theta'(s) ds.
     """
-    _certified(problem, spectrum)
+    _certify(problem, spectrum)
     if N < 1 or N > spectrum.n_modes:
         raise ValueError("need 1 <= N <= number of computed modes")
     require_same_grid(y0, problem.grid)
@@ -434,12 +434,10 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
         coeffs[i] = decay * coeffs[i - 1] + (theta_now - decay * theta_prev) / lam - conv / lam
         theta_prev = theta_now
 
-    states = [GridFunction(spectrum.grid, coeffs[i] @ spectrum.eigenfunctions[:N])
-              for i in range(times.size)]
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     zero = DisturbanceSignal.constant(0.0)
-    return Trajectory(times, states, norms, zero, np.zeros(times.size),
-                      np.zeros(times.size), "forced-spectral",
+    return Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms,
+                      zero, np.zeros(times.size), np.zeros(times.size), "forced-spectral",
                       times[1] - times[0], problem.spacing,
                       extras={"coefficients": coeffs, "eigenvalues": lam})
 
@@ -457,16 +455,11 @@ def simulate_via_lifting(problem: SLProblem, spectrum: Spectrum, d: DisturbanceS
     y0 = GridFunction(problem.grid, x0.values - d0 * lifting.g.values)
     forcing = LiftedForcing(problem, spectrum, lifting)
     y_traj = simulate_forced_spectral(problem, spectrum, forcing, y0, T, N, n_store)
-    states = []
-    norms = np.empty(y_traj.times.size)
-    for i, t in enumerate(y_traj.times):
-        vals = y_traj.states[i].values + lifting.lift_values(float(t))
-        gf = GridFunction(problem.grid, vals)
-        states.append(gf)
-        norms[i] = weighted_norm(gf, problem)
     d_values = np.asarray(d.value(y_traj.times))
+    values = y_traj.values + np.outer(d_values / lifting.scale, lifting.g.values)
+    norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
     run_max = _running_max_signal(d, y_traj.times)
-    return Trajectory(y_traj.times, states, norms, d, d_values, run_max,
+    return Trajectory(y_traj.times, values, problem.grid, norms, d, d_values, run_max,
                       "lifted-spectral", y_traj.dt, problem.spacing,
                       extras={"y_coefficients": y_traj.extras["coefficients"]})
 
@@ -509,20 +502,16 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
     grid = uniform_grid(resolution)
     h = grid[1] - grid[0]
     weight = np.exp(-v * grid / weight_D) if weight_D else np.ones_like(grid)
-    w_simp = simpson_weights(grid.size)
     times = _store_times(T, n_store)
-    states, norms = [], np.empty(times.size)
-    for i, t in enumerate(times):
-        vals = np.empty_like(grid)
+    values = np.empty((times.size, grid.size))
+    for vals, t in zip(values, times):
         ahead = grid > v * t
         vals[ahead] = math.exp(-k * t) * np.asarray(y0_fn(grid[ahead] - v * t))
         behind = ~ahead
         vals[behind] = np.exp(-k * grid[behind] / v) * d.value(t - grid[behind] / v)
-        states.append(GridFunction(grid, vals))
-        norms[i] = math.sqrt(max(h * np.sum(w_simp * weight * vals * vals), 0.0))
     d_values = np.asarray(d.value(times))
     run_max = _running_max_signal(d, times)
-    return Trajectory(times, states, norms, d, d_values, run_max,
+    return Trajectory(times, values, grid, _row_norms(values, h, weight), d, d_values, run_max,
                       "advection-exact", times[1] - times[0], h,
                       extras={"v": v, "k": k, "weight_D": weight_D})
 

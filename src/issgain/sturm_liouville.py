@@ -24,6 +24,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .coefficients import Coefficient
 from .errors import (
+    ConfigError,
     ConvergenceFailure,
     DegenerateBoundary,
     NonPositiveCoefficient,
@@ -160,16 +161,23 @@ def _assemble(problem: SLProblem, resolution: int):
     mass = rn * h
 
     lo, hi = 0, m
-    if problem.b2 == 0.0:
-        lo = 1
-    else:
-        diag[0] = ph[0] / h - pn[0] * (problem.b1 / problem.b2) + qn[0] * h / 2.0
-        mass[0] = rn[0] * h / 2.0
-    if problem.a2 == 0.0:
-        hi = m - 1
-    else:
-        diag[m] = ph[m - 1] / h + pn[m] * (problem.a1 / problem.a2) + qn[m] * h / 2.0
-        mass[m] = rn[m] * h / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.b2 == 0.0:
+            lo = 1
+        else:
+            diag[0] = ph[0] / h - pn[0] * (problem.b1 / problem.b2) + qn[0] * h / 2.0
+            mass[0] = rn[0] * h / 2.0
+        if problem.a2 == 0.0:
+            hi = m - 1
+        else:
+            diag[m] = ph[m - 1] / h + pn[m] * (problem.a1 / problem.a2) + qn[m] * h / 2.0
+            mass[m] = rn[m] * h / 2.0
+        for end, robin, fix in ((0, problem.b2, "the inlet ratio b1/b2 is too large for "
+                                 "this grid; use a Dirichlet inlet (b2 = 0)"),
+                                (m, problem.a2, "the exit parameter a is too large for this "
+                                 "grid; use a = inf (--a inf) for a Dirichlet exit")):
+            if robin != 0.0 and not math.isfinite(diag[end] / mass[end]):
+                raise ConfigError(f"a boundary row overflows at resolution {m}: {fix}")
     return diag, off, mass, lo, hi
 
 

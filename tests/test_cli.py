@@ -98,6 +98,15 @@ class TestGainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: --a must be a nonnegative number or 'inf'")
 
+    def test_huge_exit_parameter_message(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gain", "--case", "transport", "--a", "1e308"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a boundary row overflows")
+        assert "exit parameter a" in err
+        assert "--a inf" in err
+
 
 class TestSweepCommand:
     def test_default_properties(self, tmp_path, capsys):
@@ -177,6 +186,13 @@ class TestSimulateCommand:
         lines = read(iss)
         assert lines[0] == "epsilon,min_margin,argmin_t,pass"
         assert all(ln.endswith(",1") for ln in lines[1:])
+
+    def test_closed_loop_large_rate_accepts_its_initial_state(self, tmp_path, capsys):
+        # at lam_bar = 52 the discrete transform pair is inverse only to ~1e-6
+        code = main(["simulate", "--solver", "closed-loop", "--plant-p", "50", "--c", "2",
+                     "--T", "0.2", "--output", str(tmp_path / "cl.csv")])
+        assert "y0(0) =" not in capsys.readouterr().err
+        assert code == 0
 
     def test_closed_loop_solves_each_kernel_once(self, tmp_path, monkeypatch):
         calls = {"solve_kernel": 0, "solve_inverse_kernel": 0}

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack, solve_banded
 
+import issgain.pde_sim as pde_sim
+import issgain.sturm_liouville
 from issgain import (
     CompatibilityWarning,
     DisturbanceSignal,
@@ -14,7 +18,9 @@ from issgain import (
     IssEnvelope,
     LiftedForcing,
     MissingEnvelopeParameters,
+    NumericalFailure,
     StabilityWarning,
+    Trajectory,
     TransportCase,
     TruncationWarning,
     UncertifiedHypothesis,
@@ -35,6 +41,7 @@ from issgain import (
     weighted_norm,
 )
 from issgain.disturbances import _j_moments
+from issgain.grids import simpson_weights
 
 
 def scalar_exp_quadrature(fn, lam, t0, t1, n_sub=None):
@@ -69,6 +76,90 @@ def exact_j_moment(lam, delta, k):
         if m > 2 and abs(term) <= abs(total) * Fraction(1, 10 ** 40):
             return float(d ** (k + 1) * total)
         m += 1
+
+
+def loop_semidiscrete_operator(problem):
+    """Reference assembly of x' = A x + d(t) load, node by node: the lower,
+    main and upper diagonals of A (lower[0] and upper[-1] unused), the load
+    direction and the active window."""
+    m = problem.resolution
+    h = 1.0 / m
+    pn, qn, rn, ph = problem.sample(m)
+    lo = 1 if problem.b2 == 0.0 else 0
+    hi = m - 1 if problem.a2 == 0.0 else m
+    n = hi - lo + 1
+    lower, diag, upper, load = (np.zeros(n) for _ in range(4))
+    for j in range(n):
+        i = lo + j
+        if i == 0:
+            diag[j] = (-2.0 * ph[0] / (rn[0] * h * h)
+                       + 2.0 * pn[0] * problem.b1 / (problem.b2 * rn[0] * h)
+                       - qn[0] / rn[0])
+            upper[j] = 2.0 * ph[0] / (rn[0] * h * h)
+            load[j] = -2.0 * pn[0] / (problem.b2 * rn[0] * h)
+        elif i == m:
+            diag[j] = (-2.0 * ph[m - 1] / (rn[m] * h * h)
+                       - 2.0 * pn[m] * problem.a1 / (problem.a2 * rn[m] * h)
+                       - qn[m] / rn[m])
+            lower[j] = 2.0 * ph[m - 1] / (rn[m] * h * h)
+        else:
+            lower[j] = ph[i - 1] / (rn[i] * h * h)
+            upper[j] = ph[i] / (rn[i] * h * h)
+            diag[j] = -(ph[i - 1] + ph[i]) / (rn[i] * h * h) - qn[i] / rn[i]
+    if problem.b2 == 0.0:
+        load[0] = ph[0] / (rn[1] * h * h) / problem.b1
+    return lower, diag, upper, load, lo, hi
+
+
+def solve_banded_cn(problem, d, x0, dt, T, n_store, operator=None):
+    """Reference Crank-Nicolson run for compatible x0: one banded solve of the
+    unfactored matrix per step, one fresh array per stored state.  The
+    operator is the loop assembly unless given in its layout.  Returns the
+    stored states and their norms."""
+    n_steps = max(1, math.ceil(T / dt))
+    dt = T / n_steps
+    lower, diag, upper, load, lo, hi = operator or loop_semidiscrete_operator(problem)
+    ab = np.zeros((3, hi - lo + 1))
+    ab[0, 1:] = -0.5 * dt * upper[:-1]
+    ab[1, :] = 1.0 - 0.5 * dt * diag
+    ab[2, :-1] = -0.5 * dt * lower[1:]
+    d_all = np.asarray(d.value(dt * np.arange(n_steps + 1)))
+    store_at = set(pde_sim._store_indices(n_steps, n_store).tolist())
+    w = simpson_weights(problem.resolution + 1) * problem.r(problem.grid)
+    x = x0.values[lo:hi + 1].copy()
+    states, norms = [], []
+
+    def record(step):
+        full = np.zeros(problem.resolution + 1)
+        full[lo:hi + 1] = x
+        if problem.b2 == 0.0:
+            full[0] = d_all[step] / problem.b1
+        states.append(full)
+        norms.append(math.sqrt(max(problem.spacing * np.sum(w * full * full), 0.0)))
+
+    record(0)
+    for step in range(n_steps):
+        ax = diag * x
+        ax[:-1] += upper[:-1] * x[1:]
+        ax[1:] += lower[1:] * x[:-1]
+        rhs = x + 0.5 * dt * ax + 0.5 * dt * load * (d_all[step] + d_all[step + 1])
+        x = solve_banded((1, 1), ab, rhs)
+        if step + 1 in store_at:
+            record(step + 1)
+    return np.array(states), np.array(norms)
+
+
+FD_ORACLE_PROBLEMS = {
+    "laplacian": lambda: build_problem(1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 128),
+    "transport a=0": lambda: transport_problem(1.0, 2.0, 0.0, 0.0, resolution=128),
+    "transport a=1": lambda: transport_problem(1.0, 2.0, 0.0, 1.0, resolution=128),
+    "transport a=inf": lambda: transport_problem(1.0, 2.0, 0.0, math.inf, resolution=128),
+    "robin inlet": lambda: build_problem(1.0, 1.0, 1.0, 1, 0, 1, -1, 128),
+    "weighted form a=1": lambda: transport_problem(1.0, 2.0, 0.3, 1.0, form="y",
+                                                   resolution=128),
+    "weighted form a=inf": lambda: transport_problem(1.0, 2.0, 0.3, math.inf, form="y",
+                                                     resolution=128),
+}
 
 
 class TestDisturbanceSignal:
@@ -252,6 +343,107 @@ class TestSimulateFd:
             diff = GridFunction(prob.grid, traj.final_state.values - ref_vals[::2048 // m])
             errs.append(weighted_norm(diff, prob))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
+
+
+class TestCrankNicolsonLoop:
+    """simulate_fd against the reference loop, and the work one run does."""
+
+    @pytest.mark.parametrize("name", sorted(FD_ORACLE_PROBLEMS))
+    def test_operator_matches_loop_assembly(self, name):
+        problem = FD_ORACLE_PROBLEMS[name]()
+        lower, diag, upper, load, lo, hi = loop_semidiscrete_operator(problem)
+        got = pde_sim._semidiscrete_operator(problem)
+        assert got[4:] == (lo, hi)
+        for a, b in zip(got[:4], (lower[1:], diag, upper[:-1], load)):
+            if problem.has_constant_coefficients:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("name", sorted(FD_ORACLE_PROBLEMS))
+    @pytest.mark.parametrize("d", [DisturbanceSignal.sinusoid(1.0, 3.0),
+                                   DisturbanceSignal.smoothed_step(1.0, 0.2)])
+    def test_matches_solve_banded_loop(self, name, d):
+        problem = FD_ORACLE_PROBLEMS[name]()
+        x0 = GridFunction(problem.grid, np.zeros(problem.resolution + 1))  # d(0) = 0
+        traj = simulate_fd(problem, d, x0, 1e-3, 0.3, n_store=40)
+        states, norms = solve_banded_cn(problem, d, x0, 1e-3, 0.3, 40)
+        if problem.has_constant_coefficients:
+            assert np.array_equal(traj.state_matrix(), states)
+            assert np.array_equal(traj.norms, norms)
+            return
+        # the time loop itself is exact given the same operator ...
+        sub, diag, sup, load, lo, hi = pde_sim._semidiscrete_operator(problem)
+        same_operator = (np.r_[0.0, sub], diag, np.r_[sup, 0.0], load, lo, hi)
+        exact, exact_norms = solve_banded_cn(problem, d, x0, 1e-3, 0.3, 40, same_operator)
+        assert np.array_equal(traj.state_matrix(), exact)
+        assert np.array_equal(traj.norms, exact_norms)
+        # ... and the loop assembly's one-ulp differences on the diagonal grow by
+        # the conditioning of A over 300 steps to about 1.3e-13
+        assert np.max(np.abs(traj.state_matrix() - states)) <= \
+            1e-12 * np.max(np.abs(states))
+        assert np.max(np.abs(traj.norms - norms)) <= 1e-12 * np.max(norms)
+
+    def test_work_per_run(self, monkeypatch, transport_case_problem):
+        calls = {"dgttrf": 0, "solve_banded": 0, "GridFunction": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(pde_sim, "dgttrf", counted("dgttrf", lapack.dgttrf),
+                            raising=False)
+        banded = counted("solve_banded", scipy.linalg.solve_banded)
+        monkeypatch.setattr(pde_sim, "solve_banded", banded, raising=False)
+        monkeypatch.setattr(issgain.sturm_liouville, "solve_banded", banded)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", banded)
+        monkeypatch.setattr(GridFunction, "__post_init__",
+                            counted("GridFunction", GridFunction.__post_init__))
+
+        problem = transport_case_problem
+        x0 = GridFunction(problem.grid, np.zeros(problem.resolution + 1))
+        d = DisturbanceSignal.sinusoid(1.0, 2.0)
+        built = []
+        for n_store in (160, 8):
+            calls.update(dgttrf=0, GridFunction=0)
+            traj = simulate_fd(problem, d, x0, 1e-3, 0.5, n_store=n_store)
+            assert calls["dgttrf"] == 1
+            built.append(calls["GridFunction"])
+        assert calls["solve_banded"] == 0
+        # the lifting cubic is built whatever the number of stored states
+        assert built[0] == built[1] <= 2
+
+        states = traj.states
+        assert calls["GridFunction"] == built[1]
+        assert np.array_equal(states[3].values, traj.state_matrix()[3])
+        assert calls["GridFunction"] == built[1] + 1
+        assert len(list(states)) == traj.times.size == 9
+        assert not traj.state_matrix().flags.writeable
+
+    def test_zero_pivot_is_a_numerical_failure(self, monkeypatch, laplacian_problem):
+        def singular(*args, **kwargs):
+            *factors, _ = lapack.dgttrf(*args, **kwargs)
+            return (*factors, 1)
+        monkeypatch.setattr(pde_sim, "dgttrf", singular, raising=False)
+        x0 = GridFunction(laplacian_problem.grid, np.zeros(laplacian_problem.resolution + 1))
+        with pytest.raises(NumericalFailure, match="singular"):
+            simulate_fd(laplacian_problem, DisturbanceSignal.sinusoid(1.0, 2.0), x0,
+                        1e-3, 0.01)
+
+    def test_non_finite_stored_row_rejected(self, laplacian_problem):
+        grid = laplacian_problem.grid
+        x0 = GridFunction(grid, 1e308 * (1.0 - grid))    # compatible with d(0) = 1e308
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="values must be finite"):
+            simulate_fd(laplacian_problem, DisturbanceSignal.constant(1e308), x0,
+                        1e-3, 0.01, n_store=4)
+        values = np.zeros((3, grid.size))
+        values[2, 5] = np.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            Trajectory(np.arange(3.0), values, grid, np.zeros(3),
+                       DisturbanceSignal.constant(0.0), np.zeros(3), np.zeros(3),
+                       "test", 1.0, laplacian_problem.spacing)
 
 
 class TestSimulateSpectral:
