@@ -34,7 +34,6 @@ from .errors import (
     ConfigError,
     ConvergenceFailure,
     DegenerateBoundary,
-    FixedPointDivergence,
     GridMismatch,
     InadmissibleCase,
     IncompatibleInitialCondition,

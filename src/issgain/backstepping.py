@@ -26,15 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import i1 as bessel_i1, j1 as bessel_j1
 
 from .disturbances import DisturbanceSignal
-from .errors import (
-    GridMismatch,
-    IncompatibleInitialCondition,
-    NumericalFailure,
-)
+from .errors import GridMismatch, IncompatibleInitialCondition, NumericalFailure
 from .gains import backstepping_gain
 from .grids import (
     GridFunction,
@@ -46,9 +41,11 @@ from .grids import (
 from .pde_sim import (
     IssEnvelope,
     Trajectory,
+    _crank_nicolson,
     _row_norms,
-    _running_max_signal,
+    _running_max_abs,
     _store_indices,
+    _time_steps,
 )
 
 
@@ -206,14 +203,15 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
                          n_store: int = 160) -> ClosedLoopResult:
     """Crank-Nicolson closed loop with the feedback folded in implicitly.
 
-    The inlet value u^{m+1} = d^{m+1} - integral k(0,s) y^{m+1} couples all
-    unknowns through one dense row; the coupled step is solved exactly with
-    a rank-one (Sherman-Morrison) correction of the tridiagonal solve, whose
-    LU factors are computed once per run.
+    The inlet value u = d - integral k(0,s) y ds is the open-loop inlet tied
+    to the state by one dense feedback row; solved for u it reads
+    u = (d - w[1:-1] @ y[1:-1])/(1 + w0) with w = kernel.weighted[0], and
+    :func:`issgain.pde_sim._crank_nicolson` steps the plant with that row.
     """
     if cfg.d is None:
         raise ValueError("config carries no actuator-error signal d")
     d = cfg.d
+    n_steps, dt = _time_steps(dt, T)
     m = y0.resolution
     if kernel is None:
         kernel = solve_kernel(cfg, m)
@@ -232,53 +230,24 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
         raise IncompatibleInitialCondition(
             f"y0(0) = {y0.values[0]:.6g} but the feedback gives u(0) = {u0:.6g}")
 
-    n_steps = max(1, math.ceil(T / dt))
-    dt = T / n_steps
-    n_int = m - 1
-    rho = cfg.D / (h * h)
-    a_diag = np.full(n_int, -2.0 * rho + cfg.p)
-    a_off = np.full(n_int - 1, rho)
-    cn_off = -0.5 * dt * a_off
-    *cn_lu, info = dgttrf(cn_off, 1.0 - 0.5 * dt * a_diag, cn_off)
-    if info != 0:
-        raise NumericalFailure(f"Crank-Nicolson matrix is singular at dt = {dt:.6g}")
-
-    w0 = float(w_feedback[0])
-    w_int = w_feedback[1:-1] / (1.0 + w0)
-    e1 = np.zeros(n_int)
-    e1[0] = 1.0
-    x2 = dgttrs(*cn_lu, e1)[0]
-    sm_denom = 1.0 + 0.5 * dt * rho * float(w_int @ x2)
-
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
-
-    def apply_a(v):
-        out = a_diag * v
-        out[:-1] += a_off * v[1:]
-        out[1:] += a_off * v[:-1]
-        return out
-
-    y_int = y0.values[1:-1].copy()
-    u = u0
+    rho = cfg.D / (h * h)
+    off = np.full(m - 2, rho)
+    w0 = float(w_feedback[0])
+    inlet = d_all / (1.0 + w0)
+    inlet[0] = u0
+    rows, uvals = _crank_nicolson(off, np.full(m - 1, -2.0 * rho + cfg.p), off, rho, inlet,
+                                  y0.values[1:-1], dt, store_at,
+                                  feedback=w_feedback[1:-1] / (1.0 + w0))
     y_rows = np.zeros((store_at.size, m + 1))
-    uvals = np.empty(store_at.size)
-    y_rows[0, 1:-1], uvals[0] = y_int, u      # step 0 is always stored
-    for k in range(1, store_at.size):
-        for step in range(store_at[k - 1], store_at[k]):
-            d_next = d_all[step + 1] / (1.0 + w0)
-            rhs = y_int + 0.5 * dt * apply_a(y_int)
-            rhs[0] += 0.5 * dt * rho * (u + d_next)
-            x1 = dgttrs(*cn_lu, rhs)[0]
-            y_int = x1 - (0.5 * dt * rho * float(w_int @ x1) / sm_denom) * x2
-            u = d_next - float(w_int @ y_int)
-        y_rows[k, 1:-1], uvals[k] = y_int, u
+    y_rows[:, 1:-1] = rows
     y_rows[:, 0] = uvals
 
     times = times_all[store_at]
     d_vals = d_all[store_at]
-    run_max = _running_max_signal(d, times)
+    run_max = _running_max_abs(d, times)
 
     def trajectory(rows, method, **fields):
         return Trajectory(times, rows, kernel.grid, _row_norms(rows, h), d, d_vals, run_max,

@@ -196,32 +196,29 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gain(args) -> int:
-    rows = []
-    main_report = None
     case = args.case or ("config" if args.config else "dirichlet-laplacian")
-    if case == "transport":
-        a = _parse_a(args.a)
-        tc = (TransportCase.from_zeta(args.zeta, a, args.D) if args.zeta is not None
-              else TransportCase(args.D, args.v, args.k, a))
-        main_report = transport_gain(tc, args.N)
-        rows.append(("closed_form", main_report.closed_value))
-        rows.append(("series", main_report.series_value))
-        problem = transport_problem(tc.D, tc.v, tc.k, tc.a, resolution=args.resolution)
-        rows.append(("bvp_integral", gain_bvp(problem).gain_C))
-    elif case in ("backstepping", "dirichlet-laplacian"):
-        c = args.c if case == "backstepping" else 0.0
-        main_report = backstepping_gain(c, args.D, args.N)
-        rows.append(("closed_form", main_report.closed_value))
-        rows.append(("series", main_report.series_value))
-        problem = backstepping_target(c, args.D, args.resolution)
-        rows.append(("bvp_integral", gain_bvp(problem).gain_C))
-    else:
+    if case == "config":
         problem = problem_from_config(load_config(args.config))
         spectrum = solve_spectrum(problem, args.modes)
-        series = gain_series(problem, spectrum, args.modes)
-        main_report = series
-        rows.append(("series_tail_corrected", series.tail_corrected))
-        rows.append(("bvp_integral", gain_bvp(problem, spectrum=spectrum).gain_C))
+        main_report = gain_series(problem, spectrum, args.modes)
+        # gain_series has certified the spectrum already
+        bvp = gain_bvp(problem, spectrum=spectrum, require_certified=False)
+        rows = [("series_tail_corrected", main_report.tail_corrected),
+                ("bvp_integral", bvp.gain_C)]
+    else:
+        if case == "transport":
+            a = _parse_a(args.a)
+            tc = (TransportCase.from_zeta(args.zeta, a, args.D) if args.zeta is not None
+                  else TransportCase(args.D, args.v, args.k, a))
+            main_report = transport_gain(tc, args.N)
+            problem = transport_problem(tc.D, tc.v, tc.k, tc.a, resolution=args.resolution)
+        else:
+            c = args.c if case == "backstepping" else 0.0
+            main_report = backstepping_gain(c, args.D, args.N)
+            problem = backstepping_target(c, args.D, args.resolution)
+        rows = [("closed_form", main_report.closed_value),
+                ("series", main_report.series_value),
+                ("bvp_integral", gain_bvp(problem).gain_C)]
     values = [v for _, v in rows]
     spread = max(values) - min(values)
     print("route,gain")
@@ -263,7 +260,9 @@ def _verify_from_args(args, problem, traj, spectrum, closed_loop) -> int:
         envelope = closed_loop_bound(cfg, closed_loop.kernel.norm,
                                      closed_loop.inverse_kernel.norm)
     else:
-        envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
+        # the spectral and lifted simulators have certified their spectrum already
+        envelope = IssEnvelope.from_gain_report(
+            gain_bvp(problem, spectrum=spectrum, require_certified=spectrum is None))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
     csvio.write_csv(csvio.ISS_HEADER, csvio.iss_report_rows(report), args.iss_output)
     return 0 if report.passed else 2

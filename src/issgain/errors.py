@@ -46,10 +46,6 @@ class IncompatibleInitialCondition(NumericalFailure):
     """Initial state violates the boundary compatibility condition."""
 
 
-class FixedPointDivergence(NumericalFailure):
-    """Successive-approximation iteration failed to reach tolerance."""
-
-
 class MissingEnvelopeParameters(IssgainError):
     """ISS envelope lacks a decay rate, gain or overshoot."""
 

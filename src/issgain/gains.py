@@ -29,6 +29,7 @@ from .grids import uniform_grid
 from .sturm_liouville import (
     SLProblem,
     Spectrum,
+    _power_law_tail,
     check_hypothesis_H,
     solve_spectrum,
     solve_steady_bvp,
@@ -203,16 +204,17 @@ def transport_series_terms(zeta: float, a: float, N: int) -> np.ndarray:
     return 2.0 * x ** 3 / (_PI2 * corr * (zeta ** 2 / _PI2 + x ** 2) ** 2)
 
 
-def transport_series_tail(zeta: float, a: float, N: int) -> float:
+def transport_series_tail(zeta_sq: float, a: float, N: int) -> float:
     """Estimate of the squared-gain series remainder beyond N terms.
 
     Two-term asymptotics: sum_{n>N} 2/omega_n^2 - 4 zeta^2/omega_n^4 with
     omega_n ~ (n - mu_inf) pi; relative error O(1/N) of the remainder.
+    ``zeta_sq`` is q/p, negative for a constant potential q < 0.
     """
     mu_inf = 0.0 if math.isinf(a) else 0.5
     nu = N + 1.0 - mu_inf
     tail = 2.0 / _PI2 * polygamma(1, nu)
-    tail -= 4.0 * zeta ** 2 / _PI4 * polygamma(3, nu) / 6.0
+    tail -= 4.0 * zeta_sq / _PI4 * polygamma(3, nu) / 6.0
     return float(max(tail, 0.0))
 
 
@@ -273,7 +275,7 @@ def transport_gain(case: TransportCase, N: int = DEFAULT_SERIES_N,
     else:
         gain = transport_gain_closed(zeta, case.a)
         s_partial = float(np.sum(transport_series_terms(zeta, case.a, N)))
-        series = math.sqrt(s_partial + transport_series_tail(zeta, case.a, N))
+        series = math.sqrt(s_partial + transport_series_tail(zeta ** 2, case.a, N))
     return _report(gain, "closed_form", N, 0.0, epsilon,
                    decay=case.lambda1(), bnorm=1.0,
                    series_value=series, closed_value=gain,
@@ -282,23 +284,11 @@ def transport_gain(case: TransportCase, N: int = DEFAULT_SERIES_N,
 
 def backstepping_gain(c: float, D: float, N: int = DEFAULT_SERIES_N,
                       epsilon: float = 1.0) -> GainReport:
-    """Gain of the Dirichlet target problem q = c: G(sqrt(c/D), inf)."""
+    """Gain of the Dirichlet target problem q = c: the transport gain at
+    v = 0, k = c, a = inf, i.e. G(sqrt(c/D), inf) with decay c + D pi^2."""
     if c < 0:
         raise InadmissibleCase("target coefficient c must be nonnegative")
-    if D <= 0:
-        raise InadmissibleCase("diffusion coefficient D must be positive")
-    zeta = math.sqrt(c / D)
-    decay = c + D * _PI2
-    if c == 0.0:
-        gain = 1.0 / math.sqrt(3.0)
-        return _report(gain, "closed_form", N, 0.0, epsilon, decay, 1.0,
-                       series_value=gain, closed_value=gain, discrepancy=0.0)
-    gain = transport_gain_closed(zeta, math.inf)
-    s_partial = float(np.sum(transport_series_terms(zeta, math.inf, N)))
-    series = math.sqrt(s_partial + transport_series_tail(zeta, math.inf, N))
-    return _report(gain, "closed_form", N, 0.0, epsilon, decay, 1.0,
-                   series_value=series, closed_value=gain,
-                   discrepancy=abs(series - gain))
+    return transport_gain(TransportCase(D, 0.0, c, math.inf), N, epsilon)
 
 
 def advection_gain(v: float, D: float, k: float = 0.0,
@@ -345,7 +335,10 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
 
     ``gain_C`` is the square root of the certified partial sum;
     ``tail_estimate`` is the estimated remainder converted to gain units, so
-    ``gain_C + tail_estimate`` is the tail-corrected constant.
+    ``gain_C + tail_estimate`` is the tail-corrected constant.  Constant
+    coefficients with a Dirichlet inlet take the remainder from the
+    transport asymptotics at zeta^2 = q/p, scaled by r; otherwise it comes
+    from a power-law fit of the computed terms.
     """
     if N < 0 or N > spectrum.n_modes:
         raise ValueError("need 0 <= N <= number of computed modes")
@@ -358,43 +351,16 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
     num = p0 * (b1n * spectrum.derivatives_at_0[:N] - b2n * spectrum.values_at_0[:N])
     terms = (num / lam) ** 2
     partial = float(np.sum(terms))
-    tail_sq = _series_tail_generic(problem, spectrum, terms, N, b1n)
+    if problem.has_constant_coefficients and problem.b2 == 0.0:
+        exit_a = math.inf if problem.a2 == 0.0 else problem.a1 / problem.a2
+        tail_sq = problem.r.value * transport_series_tail(
+            problem.q.value / problem.p.value, exit_a, N)
+    else:
+        tail_sq = _power_law_tail(terms, N)
     gain = math.sqrt(partial)
     tail_gain = math.sqrt(partial + tail_sq) - gain
     return _report(gain, "series", N, tail_gain, epsilon,
                    decay=float(spectrum.eigenvalues[0]), bnorm=s)
-
-
-def _series_tail_generic(problem: SLProblem, spectrum: Spectrum,
-                         terms: np.ndarray, N: int, b1n: float) -> float:
-    """Squared-gain tail beyond mode N.
-
-    Constant coefficients with a Dirichlet inlet follow the transport
-    asymptotics exactly; otherwise a power-law fit of the computed terms is
-    used (terms ~ beta / n^gamma summed with the Hurwitz zeta).
-    """
-    if problem.has_constant_coefficients and problem.b2 == 0.0:
-        r0 = problem.r.value
-        mu_inf = 0.0 if problem.a2 == 0.0 else 0.5
-        zeta_sq = problem.q.value / problem.p.value
-        nu = N + 1.0 - mu_inf
-        tail = 2.0 * r0 * b1n ** 2 / _PI2 * polygamma(1, nu)
-        tail -= 4.0 * r0 * b1n ** 2 * zeta_sq / _PI4 * polygamma(3, nu) / 6.0
-        return float(max(tail, 0.0))
-    if N == 0:
-        return math.inf
-    from scipy.special import zeta as hurwitz_zeta
-    half = max(N // 2, 1)
-    ns = np.arange(half + 1, N + 1, dtype=float)
-    vals = terms[half:]
-    good = vals > 0
-    if good.sum() < 3:
-        return math.inf
-    slope, logbeta = np.polyfit(np.log(ns[good]), np.log(vals[good]), 1)
-    gamma = -slope
-    if gamma <= 1.0:
-        return math.inf
-    return float(math.exp(logbeta) * hurwitz_zeta(gamma, N + 1))
 
 
 def gain_bvp(problem: SLProblem, epsilon: float = 1.0,

@@ -111,6 +111,24 @@ def _row_norms(values: np.ndarray, h: float, weight=1.0) -> np.ndarray:
     return np.sqrt(np.maximum(h * np.sum(w * values * values, axis=-1), 0.0))
 
 
+def _running_max_abs(d: DisturbanceSignal, times: np.ndarray,
+                     window: float | None = None) -> np.ndarray:
+    """max |d| over [times[0], t], or over [t - window, t], at each t of ``times``.
+
+    One vectorised call samples d at 32 points per stored interval and at each
+    window's left end, so the max of A sin(omega t) is missed by at most
+    A (omega delta)^2 / 8, delta the sample spacing.
+    """
+    samples = np.append(np.linspace(times[:-1], times[1:], 33, axis=1)[:, :-1], times[-1])
+    if window is None:
+        return np.maximum.accumulate(np.abs(d.value(samples)))[::32]
+    edges = np.maximum(times - window, times[0])
+    values = np.abs(d.value(np.concatenate([samples, edges])))
+    first = np.searchsorted(samples, edges)
+    return np.array([max(values[j:32 * i + 1].max(), values[samples.size + i])
+                     for i, j in enumerate(first)])
+
+
 # ---------------------------------------------------------------------------
 # lifting
 
@@ -184,6 +202,22 @@ def _require_store(n_store: int):
         raise ValueError(f"n_store must be at least 1, got {n_store}")
 
 
+def _require_times(**values: float):
+    """Reject a time step or horizon that is not finite and positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _time_steps(dt: float, T: float) -> tuple[int, float]:
+    """Step count n = ceil(T/dt), at least 1, and the step T/n that ends at T."""
+    _require_times(dt=dt, T=T)
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T/dt overflows: dt = {dt} is too small for T = {T}")
+    n_steps = max(1, math.ceil(T / dt))
+    return n_steps, T / n_steps
+
+
 def _store_indices(n_steps: int, n_store: int) -> np.ndarray:
     """Steps at which a time-stepping run stores its state, t = 0 included."""
     _require_store(n_store)
@@ -192,6 +226,7 @@ def _store_indices(n_steps: int, n_store: int) -> np.ndarray:
 
 def _store_times(T: float, n_store: int) -> np.ndarray:
     """Output times of the interval-wise routes: n_store intervals, at least 2."""
+    _require_times(T=T)
     _require_store(n_store)
     return np.linspace(0.0, T, max(2, n_store) + 1)
 
@@ -216,41 +251,27 @@ def _check_compatibility(problem: SLProblem, x0: GridFunction, d0: float,
     return GridFunction(x0.grid, corrected)
 
 
-def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
-                dt: float, T: float, n_store: int = DEFAULT_STORE) -> Trajectory:
-    """Crank-Nicolson run of the boundary-disturbed equation.
+def _crank_nicolson(sub, diag, sup, load: float, inlet: np.ndarray, x0: np.ndarray,
+                    dt: float, store_at: np.ndarray, feedback: np.ndarray | None = None):
+    """Crank-Nicolson run of x' = A x + u(t) load e_1, A tridiagonal (sub, diag, sup).
 
-    The time-varying inlet datum enters through the scheme average of the
-    two levels (equivalent to evaluation at the half-step to second order).
-    The tridiagonal matrix I - (dt/2) A is LU-factored once per run and each
-    step is one solve with those factors; a zero pivot raises
-    :class:`NumericalFailure`.  Stored steps fill one array in place.
-    Incompatible initial data are projected with a warning.
+    u is ``inlet[step]``, or with a ``feedback`` row ``inlet[step] - feedback @ x``
+    from step 1 on (``inlet[0]`` is u(0)), solved by a Sherman-Morrison
+    correction.  I - (dt/2) A is LU-factored once; a zero pivot raises
+    :class:`NumericalFailure`.  Returns the states and u at the steps ``store_at``.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
-    require_same_grid(x0, problem.grid)
-    if d.kind == "sinusoid" and d.frequency * dt > 0.5:
-        warnings.warn("time step is coarse for the disturbance frequency "
-                      f"(omega*dt = {d.frequency * dt:.2f})", StabilityWarning, stacklevel=2)
-    lifting = lift_disturbance(problem, d)
-    x0 = _check_compatibility(problem, x0, float(d.value(np.asarray(0.0))), lifting)
-
-    n_steps = max(1, math.ceil(T / dt))
-    dt = T / n_steps
     half = 0.5 * dt
-    sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
     *cn_lu, info = dgttrf(-half * sub, 1.0 - half * diag, -half * sup)
     if info != 0:
         raise NumericalFailure(f"Crank-Nicolson matrix is singular at dt = {dt:.6g}")
-
-    times_all = dt * np.arange(n_steps + 1)
-    d_all = np.asarray(d.value(times_all))
-    # load has one nonzero, its first entry: the inlet term of each step's right side
-    inlet_terms = half * load[0] * (d_all[:-1] + d_all[1:])
-    d_half = np.asarray(d.value(times_all[:-1] + dt / 2.0))
-    run_max = np.maximum.accumulate(np.abs(d_all))
-    run_max[1:] = np.maximum(run_max[1:], np.maximum.accumulate(np.abs(d_half)))
+    coupling = half * load
+    if feedback is None:
+        inlet_terms = coupling * (inlet[:-1] + inlet[1:])
+    else:
+        e1 = np.zeros(x0.size)
+        e1[0] = 1.0
+        x_e1 = dgttrs(*cn_lu, e1)[0]
+        sm_denom = 1.0 + coupling * float(feedback @ x_e1)
 
     def apply_a(x):
         out = diag * x
@@ -258,38 +279,66 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
         out[1:] += sub * x[:-1]
         return out
 
-    store_at = _store_indices(n_steps, n_store)
-    values = np.zeros((store_at.size, problem.resolution + 1))
-    x = x0.values[lo:hi + 1].copy()
-    values[0, lo:hi + 1] = x                  # step 0 is always stored
+    rows = np.empty((store_at.size, x0.size))
+    u_stored = inlet[store_at]
+    x, u = x0.copy(), inlet[0]
+    rows[0] = x                               # step 0 is always stored
     for k in range(1, store_at.size):
         for step in range(store_at[k - 1], store_at[k]):
             rhs = x + half * apply_a(x)
-            rhs[0] += inlet_terms[step]
-            x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
-        values[k, lo:hi + 1] = x
+            if feedback is None:
+                rhs[0] += inlet_terms[step]
+                x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
+            else:
+                rhs[0] += coupling * (u + inlet[step + 1])
+                x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
+                x = x - (coupling * float(feedback @ x) / sm_denom) * x_e1
+                u = inlet[step + 1] - float(feedback @ x)
+        rows[k] = x
+        if feedback is not None:
+            u_stored[k] = u
+    return rows, u_stored
+
+
+def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
+                dt: float, T: float, n_store: int = DEFAULT_STORE) -> Trajectory:
+    """Crank-Nicolson run of the boundary-disturbed equation.
+
+    The time-varying inlet datum enters through the scheme average of the
+    two levels (equivalent to evaluation at the half-step to second order).
+    The run is :func:`_crank_nicolson` on the operator of
+    :func:`_semidiscrete_operator`, with ``dt`` shortened so that whole steps
+    end at T.  Incompatible initial data are projected with a warning.
+    """
+    n_steps, dt_run = _time_steps(dt, T)
+    require_same_grid(x0, problem.grid)
+    if d.kind == "sinusoid" and d.frequency * dt > 0.5:
+        warnings.warn("time step is coarse for the disturbance frequency "
+                      f"(omega*dt = {d.frequency * dt:.2f})", StabilityWarning, stacklevel=2)
+    lifting = lift_disturbance(problem, d)
+    x0 = _check_compatibility(problem, x0, float(d.value(np.asarray(0.0))), lifting)
+
+    sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
+    times_all = dt_run * np.arange(n_steps + 1)
+    d_all = np.asarray(d.value(times_all))
+    store_at = _store_indices(n_steps, n_store)
+    # load has one nonzero, its first entry
+    rows, inlet = _crank_nicolson(sub, diag, sup, load[0], d_all, x0.values[lo:hi + 1],
+                                  dt_run, store_at)
+    values = np.zeros((store_at.size, problem.resolution + 1))
+    values[:, lo:hi + 1] = rows
     if problem.b2 == 0.0:
-        values[:, 0] = d_all[store_at] / problem.b1
+        values[:, 0] = inlet / problem.b1
 
     h = problem.spacing
     norms = _row_norms(values, h, problem.r(problem.grid))
-    return Trajectory(times_all[store_at], values, problem.grid, norms, d,
-                      d_all[store_at], run_max[store_at], "crank-nicolson", dt, h)
+    times = times_all[store_at]
+    return Trajectory(times, values, problem.grid, norms, d, inlet,
+                      _running_max_abs(d, times), "crank-nicolson", dt_run, h)
 
 
 # ---------------------------------------------------------------------------
 # spectral routes
-
-
-def _running_max_signal(d: DisturbanceSignal, times: np.ndarray) -> np.ndarray:
-    out = np.empty(times.size)
-    current = abs(float(d.value(np.asarray(times[0]))))
-    out[0] = current
-    for i in range(1, times.size):
-        samples = np.abs(d.value(np.linspace(times[i - 1], times[i], 33)))
-        current = max(current, float(np.max(samples)))
-        out[i] = current
-    return out
 
 
 def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
@@ -329,7 +378,7 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     d_values = np.asarray(d.value(times))
     traj = Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms, d,
-                      d_values, _running_max_signal(d, times), "spectral",
+                      d_values, _running_max_abs(d, times), "spectral",
                       times[1] - times[0], problem.spacing,
                       extras={"coefficients": coeffs, "coupling": kappa / s,
                               "eigenvalues": lam})
@@ -413,6 +462,7 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
     if N < 1 or N > spectrum.n_modes:
         raise ValueError("need 1 <= N <= number of computed modes")
     require_same_grid(y0, problem.grid)
+    times = _store_times(T, n_store)
     bval = problem.b1 * y0.value_at_left() + problem.b2 * y0.derivative_at_left()
     aval = problem.a1 * float(y0.values[-1]) + problem.a2 * y0.derivative_at_right()
     scale = max(float(np.max(np.abs(y0.values))), 1.0)
@@ -422,7 +472,6 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
             f"(residuals {bval:.2e}, {aval:.2e})")
 
     lam = spectrum.eigenvalues[:N]
-    times = _store_times(T, n_store)
     coeffs = np.empty((times.size, N))
     coeffs[0] = fourier_coefficients(y0, spectrum, problem)[:N]
     theta_prev = forcing.theta(0.0, N)
@@ -458,7 +507,7 @@ def simulate_via_lifting(problem: SLProblem, spectrum: Spectrum, d: DisturbanceS
     d_values = np.asarray(d.value(y_traj.times))
     values = y_traj.values + np.outer(d_values / lifting.scale, lifting.g.values)
     norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
-    run_max = _running_max_signal(d, y_traj.times)
+    run_max = _running_max_abs(d, y_traj.times)
     return Trajectory(y_traj.times, values, problem.grid, norms, d, d_values, run_max,
                       "lifted-spectral", y_traj.dt, problem.spacing,
                       extras={"y_coefficients": y_traj.extras["coefficients"]})
@@ -510,7 +559,7 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
         behind = ~ahead
         vals[behind] = np.exp(-k * grid[behind] / v) * d.value(t - grid[behind] / v)
     d_values = np.asarray(d.value(times))
-    run_max = _running_max_signal(d, times)
+    run_max = _running_max_abs(d, times)
     return Trajectory(times, values, grid, _row_norms(values, h, weight), d, d_values, run_max,
                       "advection-exact", times[1] - times[0], h,
                       extras={"v": v, "k": k, "weight_D": weight_D})
@@ -568,14 +617,6 @@ class ISSCheckReport:
         return "\n".join(lines)
 
 
-def _windowed_max(d: DisturbanceSignal, times: np.ndarray, window: float) -> np.ndarray:
-    out = np.empty(times.size)
-    for i, t in enumerate(times):
-        lo = max(0.0, t - window)
-        out[i] = float(np.max(np.abs(d.value(np.linspace(lo, t, 257)))))
-    return out
-
-
 def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
                slack: float = 1e-3) -> ISSCheckReport:
     """Check margins RHS - LHS of an ISS envelope at every stored time.
@@ -589,7 +630,7 @@ def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
         raise ValueError("epsilon values must be positive")
     norm0 = traj.norms[0]
     if envelope.max_window is not None:
-        maxd = _windowed_max(traj.disturbance, traj.times, envelope.max_window)
+        maxd = _running_max_abs(traj.disturbance, traj.times, envelope.max_window)
     else:
         maxd = traj.running_max_d
     decay = np.exp(-envelope.decay_rate * traj.times)

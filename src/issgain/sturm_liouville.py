@@ -284,21 +284,19 @@ def _tail_constant_coefficients(problem: SLProblem, n_from: int) -> float:
     return sup_phi * r0 * total
 
 
-def _tail_heuristic(lam: np.ndarray, sup_phi: np.ndarray, n_from: int) -> tuple[float, bool]:
-    """Power-law fit lambda_n ~ alpha n^beta; tail via the Hurwitz zeta."""
-    n = np.arange(1, lam.size + 1, dtype=float)
-    half = lam.size // 2
-    mask = lam[half:] > 0
-    if mask.sum() < 3:
-        return math.inf, False
-    logn = np.log(n[half:][mask])
-    logl = np.log(lam[half:][mask])
-    beta, logalpha = np.polyfit(logn, logl, 1)
-    if beta <= 1.0:
-        return math.inf, False
-    alpha = math.exp(logalpha)
-    tail = float(1.05 * sup_phi.max() / alpha * hurwitz_zeta(beta, n_from + 1))
-    return tail, True
+def _power_law_tail(values: np.ndarray, n_from: int) -> float:
+    """sum_{n > n_from} beta n^-gamma, fitting v_n ~ beta n^-gamma in log-log to
+    the positive entries of the second half of ``values`` = (v_1, v_2, ...);
+    inf when fewer than 3 entries fit or gamma <= 1."""
+    n = np.arange(1, values.size + 1, dtype=float)
+    half = values.size // 2
+    good = values[half:] > 0
+    if good.sum() < 3:
+        return math.inf
+    slope, logbeta = np.polyfit(np.log(n[half:][good]), np.log(values[half:][good]), 1)
+    if slope >= -1.0:
+        return math.inf
+    return float(math.exp(logbeta) * hurwitz_zeta(-slope, n_from + 1))
 
 
 def check_hypothesis_H(spectrum: Spectrum, problem: SLProblem) -> HypothesisReport:
@@ -325,9 +323,25 @@ def check_hypothesis_H(spectrum: Spectrum, problem: SLProblem) -> HypothesisRepo
         certified = math.isfinite(tail)
         return HypothesisReport(lambda1, True, partial, tail, certified,
                                 spectrum.n_modes, "transport-bound")
-    tail, ok = _tail_heuristic(lam, sup_phi, spectrum.n_modes)
+    tail = 1.05 * float(sup_phi.max()) * _power_law_tail(1.0 / lam, spectrum.n_modes)
     return HypothesisReport(lambda1, True, partial, tail, False,
                             spectrum.n_modes, "heuristic-fit")
+
+
+def _steady_system(problem: SLProblem, m: int, boundary_value: float):
+    """Steady-BVP system at resolution m: diagonal, off-diagonal and right-hand
+    side on the active nodes lo..hi, and the Dirichlet inlet value (else 0)."""
+    diag, off, _, lo, hi = _assemble(problem, m)
+    h = 1.0 / m
+    pn, _, _, ph = problem.sample(m)
+    rhs = np.zeros(hi - lo + 1)
+    left_value = 0.0
+    if problem.b2 == 0.0:
+        left_value = boundary_value / problem.b1
+        rhs[0] = ph[0] / h * left_value
+    else:
+        rhs[0] = -pn[0] * boundary_value / problem.b2
+    return diag[lo:hi + 1], off[lo:hi], lo, hi, rhs, left_value
 
 
 def solve_steady_bvp(problem: SLProblem, boundary_value: float,
@@ -340,22 +354,11 @@ def solve_steady_bvp(problem: SLProblem, boundary_value: float,
     Raises :class:`SingularBVP` when the discrete system is near-singular.
     """
     m = problem.resolution if resolution is None else resolution
-    diag, off, mass, lo, hi = _assemble(problem, m)
-    h = 1.0 / m
-    pn, _, _, ph = problem.sample(m)
-    n_active = hi - lo + 1
-    rhs = np.zeros(n_active)
-    left_value = 0.0
-    if problem.b2 == 0.0:
-        left_value = boundary_value / problem.b1
-        rhs[0] += ph[0] / h * left_value
-    else:
-        rhs[0] += -pn[0] * boundary_value / problem.b2
-
-    ab = np.zeros((3, n_active))
-    ab[0, 1:] = off[lo:hi]
-    ab[1, :] = diag[lo:hi + 1]
-    ab[2, :-1] = off[lo:hi]
+    diag, off, lo, hi, rhs, left_value = _steady_system(problem, m, boundary_value)
+    ab = np.zeros((3, rhs.size))
+    ab[0, 1:] = off
+    ab[1, :] = diag
+    ab[2, :-1] = off
     try:
         x_active = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:
@@ -368,6 +371,7 @@ def solve_steady_bvp(problem: SLProblem, boundary_value: float,
     x[lo:hi + 1] = x_active
     if problem.b2 == 0.0:
         x[0] = left_value
+    h = 1.0 / m
     grid = uniform_grid(m)
     return GridFunction(grid, x,
                         deriv_left=derivative_at_left(x, h),
@@ -376,21 +380,13 @@ def solve_steady_bvp(problem: SLProblem, boundary_value: float,
 
 def steady_bvp_residual(problem: SLProblem, x: GridFunction, boundary_value: float) -> float:
     """Relative residual of the discrete two-point BVP equations."""
-    m = x.resolution
-    diag, off, _, lo, hi = _assemble(problem, m)
-    h = 1.0 / m
-    pn, _, _, ph = problem.sample(m)
-    rhs = np.zeros(hi - lo + 1)
-    if problem.b2 == 0.0:
-        rhs[0] += ph[0] / h * (boundary_value / problem.b1)
-    else:
-        rhs[0] += -pn[0] * boundary_value / problem.b2
+    diag, off, lo, hi, rhs, _ = _steady_system(problem, x.resolution, boundary_value)
     v = x.values[lo:hi + 1]
-    res = diag[lo:hi + 1] * v
-    res[:-1] += off[lo:hi] * v[1:]
-    res[1:] += off[lo:hi] * v[:-1]
+    res = diag * v
+    res[:-1] += off * v[1:]
+    res[1:] += off * v[:-1]
     res -= rhs
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(diag[lo:hi + 1] * v)), 1e-30)
+    scale = max(np.max(np.abs(rhs)), np.max(np.abs(diag * v)), 1e-30)
     return float(np.max(np.abs(res)) / scale)
 
 

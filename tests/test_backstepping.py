@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 import issgain.backstepping as backstepping
 from issgain import (
@@ -23,6 +24,7 @@ from issgain import (
     verify_iss,
 )
 from issgain.grids import simpson_weights, tail_quadrature_matrix
+from issgain.pde_sim import _store_indices
 
 # dblquad of the closed-form kernel squared over the triangle, lam = 5
 BESSEL_NORM_LAM5 = 0.8602171154643504
@@ -232,6 +234,59 @@ class TestTransforms:
         assert feedback_control(forward, y, 0.0) == pytest.approx(-exact, abs=1e-9)
 
 
+def closed_loop_step_oracle(cfg, y0, dt, T, kernel, n_store):
+    """The closed-loop Crank-Nicolson loop on its own operator and factors.
+
+    The inlet u = d - integral k(0,s) y ds couples all unknowns through one
+    dense row, solved with a Sherman-Morrison correction of the tridiagonal
+    solve.  Returns the stored plant states and the inlet values u."""
+    m = y0.resolution
+    h = 1.0 / m
+    w_feedback = kernel.weighted[0]
+    u0 = float(cfg.d.value(np.asarray(0.0))) - float(w_feedback @ y0.values)
+    n_steps = max(1, math.ceil(T / dt))
+    dt = T / n_steps
+    n_int = m - 1
+    rho = cfg.D / (h * h)
+    a_diag = np.full(n_int, -2.0 * rho + cfg.p)
+    a_off = np.full(n_int - 1, rho)
+    cn_off = -0.5 * dt * a_off
+    *cn_lu, info = dgttrf(cn_off, 1.0 - 0.5 * dt * a_diag, cn_off)
+    assert info == 0
+
+    w0 = float(w_feedback[0])
+    w_int = w_feedback[1:-1] / (1.0 + w0)
+    e1 = np.zeros(n_int)
+    e1[0] = 1.0
+    x2 = dgttrs(*cn_lu, e1)[0]
+    sm_denom = 1.0 + 0.5 * dt * rho * float(w_int @ x2)
+    d_all = np.asarray(cfg.d.value(dt * np.arange(n_steps + 1)))
+    store_at = _store_indices(n_steps, n_store)
+
+    def apply_a(v):
+        out = a_diag * v
+        out[:-1] += a_off * v[1:]
+        out[1:] += a_off * v[:-1]
+        return out
+
+    y_int = y0.values[1:-1].copy()
+    u = u0
+    y_rows = np.zeros((store_at.size, m + 1))
+    uvals = np.empty(store_at.size)
+    y_rows[0, 1:-1], uvals[0] = y_int, u
+    for k in range(1, store_at.size):
+        for step in range(store_at[k - 1], store_at[k]):
+            d_next = d_all[step + 1] / (1.0 + w0)
+            rhs = y_int + 0.5 * dt * apply_a(y_int)
+            rhs[0] += 0.5 * dt * rho * (u + d_next)
+            x1 = dgttrs(*cn_lu, rhs)[0]
+            y_int = x1 - (0.5 * dt * rho * float(w_int @ x1) / sm_denom) * x2
+            u = d_next - float(w_int @ y_int)
+        y_rows[k, 1:-1], uvals[k] = y_int, u
+    y_rows[:, 0] = uvals
+    return y_rows, uvals
+
+
 @pytest.fixture(scope="module")
 def closed_loop_run():
     cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.sinusoid(1.0, 2.0))
@@ -353,6 +408,28 @@ class TestClosedLoop:
         assert calls["apply_transform"] == 0
         x_ref = [apply_transform(kernel, st).values for st in result.y.states]
         assert np.max(np.abs(result.x.state_matrix() - np.array(x_ref))) <= 1e-13
+
+    @pytest.mark.parametrize("D, p, c, m, d", [
+        (1.0, 3.0, 1.0, 256, DisturbanceSignal.sinusoid(1.0, 2.0, 0.7)),
+        (1.0, 5.0, 2.0, 256, DisturbanceSignal.sinusoid(0.5, 6.0)),
+        (0.7, 3.0, 1.0, 64, DisturbanceSignal.smoothed_step(1.0, 0.2)),
+    ])
+    def test_matches_standalone_step_loop(self, D, p, c, m, d):
+        cfg = ClosedLoopConfig(D=D, p=p, c=c, d=d)
+        kernel = solve_kernel(cfg, m)
+        inverse = solve_inverse_kernel(cfg, m)
+        grid = kernel.grid
+        d0 = float(d.value(np.asarray(0.0)))
+        y0 = apply_transform(inverse, GridFunction(
+            grid, d0 * (1.0 - grid) + 0.5 * np.sin(math.pi * grid))).values
+        w = kernel.weighted[0]
+        y0[0] = (d0 - w[1:] @ y0[1:]) / (1.0 + w[0])
+        y0 = GridFunction(grid, y0)
+        result = simulate_closed_loop(cfg, y0, 1e-3, 0.3, kernel=kernel,
+                                      inverse_kernel=inverse, n_store=40)
+        rows, uvals = closed_loop_step_oracle(cfg, y0, 1e-3, 0.3, kernel, 40)
+        assert np.array_equal(result.y.state_matrix(), rows)
+        assert np.array_equal(result.control, uvals)
 
     def test_incompatible_initial_state(self):
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(1.0))

@@ -19,6 +19,29 @@ a = inf
 resolution = 128
 """
 
+CONFIG_NEGATIVE_POTENTIAL = """\
+schema = issgain/1
+kind = constant
+p = 1
+q = -3
+r = 2
+a1 = 1
+a2 = 1
+b1 = 1
+b2 = 0
+"""
+
+CONFIG_FORM_Y = """\
+schema = issgain/1
+kind = transport
+D = 1.0
+v = 2
+k = 0.3
+a = 1
+form = y
+resolution = 256
+"""
+
 CONFIG_BAD = """\
 schema = issgain/1
 kind = transport
@@ -47,6 +70,15 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--case", "dirichlet-laplacian", "--q", "-20",
                      "--modes", "12", "--output", str(out)])
         assert code == 1
+
+    def test_form_y_heuristic_tail_bound(self, tmp_path, capsys):
+        cfg = tmp_path / "formy.cfg"
+        cfg.write_text(CONFIG_FORM_Y)
+        assert main(["spectrum", "--config", str(cfg), "--modes", "16",
+                     "--output", str(tmp_path / "s.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "tail_bound = 0.0242487157524\n" in out
+        assert "method = heuristic-fit\n" in out
 
     def test_malformed_config_exit_three(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -80,6 +112,15 @@ class TestGainCommand:
         assert main(["gain", "--config", str(cfg), "--modes", "16"]) == 0
         out = capsys.readouterr().out
         assert "max_disagreement" in out
+
+    def test_negative_potential_config_digits(self, tmp_path, capsys):
+        # q/p = -3 enters the constant-coefficient series tail with its sign
+        cfg = tmp_path / "negq.cfg"
+        cfg.write_text(CONFIG_NEGATIVE_POTENTIAL)
+        assert main(["gain", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "series_tail_corrected,3.38696575578\n" in out
+        assert "bvp_integral,3.38696409784\n" in out
 
     def test_table_coefficients_uncertified_exit_one(self, tmp_path):
         z = np.linspace(0, 1, 33)
@@ -227,6 +268,32 @@ class TestSimulateCommand:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--solver", "spectral", "--case", "transport", "--resolution", "128",
+         "--T", "0.4", "--modes", "16", "--verify-iss"],
+        ["simulate", "--solver", "lifted", "--case", "transport", "--resolution", "128",
+         "--T", "0.4", "--modes", "16", "--disturbance", "sinusoid", "--verify-iss"],
+        ["simulate", "--solver", "fd", "--case", "transport", "--resolution", "128",
+         "--T", "0.2", "--verify-iss"],
+        ["gain", "--config", "CONFIG"],
+    ])
+    def test_certifies_once_per_command(self, tmp_path, monkeypatch, argv):
+        calls = []
+        original = issgain.gains.check_hypothesis_H
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(issgain.gains, "check_hypothesis_H", counted)
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(CONFIG_OK)
+        argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+        if argv[0] == "simulate":
+            argv += ["--output", str(tmp_path / "t.csv"),
+                     "--iss-output", str(tmp_path / "iss.csv")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
     def test_closed_loop_kernel_overflow_exit_two(self, tmp_path, capsys):
         out = tmp_path / "cl.csv"
         with warnings.catch_warnings():
@@ -265,6 +332,25 @@ class TestRejectedInputs:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("solver, flag", [
+        ("fd", "--T"), ("fd", "--dt"), ("closed-loop", "--T"), ("closed-loop", "--dt"),
+        ("spectral", "--T"), ("lifted", "--T"), ("advection", "--T"),
+    ])
+    def test_time_inputs(self, tmp_path, capsys, solver, flag, value):
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--solver", solver, f"{flag}={value}",
+                     "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag[2:]} must be finite and positive")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_step_count_overflow(self, tmp_path, capsys):
+        assert main(["simulate", "--solver", "fd", "--dt", "1e-320",
+                     "--output", str(tmp_path / "out.csv")]) == 3
+        assert capsys.readouterr().err.startswith("config error: T/dt overflows")
 
 
 def test_help_exits_zero():

@@ -445,6 +445,20 @@ class TestCrankNicolsonLoop:
                        DisturbanceSignal.constant(0.0), np.zeros(3), np.zeros(3),
                        "test", 1.0, laplacian_problem.spacing)
 
+    def test_zero_feedback_row_is_the_open_loop(self, transport_case_problem):
+        sub, diag, sup, load, lo, hi = pde_sim._semidiscrete_operator(transport_case_problem)
+        grid = transport_case_problem.grid
+        dt, n_steps = 1e-3, 300
+        inlet = np.asarray(DisturbanceSignal.sinusoid(1.0, 3.0).value(dt * np.arange(n_steps + 1)))
+        x0 = np.sin(math.pi * grid)[lo:hi + 1]
+        store_at = pde_sim._store_indices(n_steps, 40)
+        open_loop = pde_sim._crank_nicolson(sub, diag, sup, load[0], inlet, x0, dt, store_at)
+        zero_row = pde_sim._crank_nicolson(sub, diag, sup, load[0], inlet, x0, dt, store_at,
+                                           feedback=np.zeros(x0.size))
+        assert np.array_equal(open_loop[0], zero_row[0])
+        assert np.array_equal(open_loop[1], zero_row[1])
+        assert np.array_equal(open_loop[1], inlet[store_at])
+
 
 class TestSimulateSpectral:
     def test_steady_coefficient(self, laplacian_problem, laplacian_spectrum):
@@ -732,6 +746,45 @@ class TestWeightedFormEquivalence:
             weighted_norm(xs, x_form), abs=1e-8)
         # pointwise: y = e^{vz/2D} x
         assert np.max(np.abs(ys.values - np.exp(ys.grid / 2) * xs.values)) < 1e-6
+
+
+def sinusoid_max(amplitude, omega, phase, a, b):
+    """Closed-form max of |amplitude sin(omega t + phase)| over [a, b]."""
+    lo, hi = omega * a + phase, omega * b + phase
+    if math.pi / 2 + math.ceil((lo - math.pi / 2) / math.pi) * math.pi <= hi:
+        return abs(amplitude)
+    return max(abs(amplitude * math.sin(lo)), abs(amplitude * math.sin(hi)))
+
+
+class TestRunningMax:
+    @pytest.mark.parametrize("omega, phase, T, n_store", [(2.0, 0.0, 1.5, 160),
+                                                          (7.0, 0.4, 3.0, 40),
+                                                          (40.0, 1.0, 2.0, 12)])
+    @pytest.mark.parametrize("window", [None, 0.5, 0.03])
+    def test_sinusoid_within_sampling_bound(self, omega, phase, T, n_store, window):
+        amplitude = 1.7
+        d = DisturbanceSignal.sinusoid(amplitude, omega, phase)
+        times = pde_sim._store_times(T, n_store)
+        got = pde_sim._running_max_abs(d, times, window)
+        bound = amplitude * (omega * (T / n_store / 32)) ** 2 / 8.0
+        for t, value in zip(times, got):
+            start = 0.0 if window is None else max(0.0, t - window)
+            exact = sinusoid_max(amplitude, omega, phase, start, t)
+            assert exact - bound - 1e-15 <= value <= exact + 1e-15
+
+    def test_one_signal_call(self, monkeypatch):
+        d = DisturbanceSignal.sinusoid(1.0, 3.0)
+        calls = []
+        original = DisturbanceSignal.value
+
+        def counted(self, t):
+            calls.append(np.size(t))
+            return original(self, t)
+        monkeypatch.setattr(DisturbanceSignal, "value", counted)
+        times = pde_sim._store_times(2.0, 40)
+        pde_sim._running_max_abs(d, times)
+        pde_sim._running_max_abs(d, times, 0.25)
+        assert calls == [32 * 40 + 1, 32 * 40 + 1 + 41]
 
 
 class TestVerifyIss:
