@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -325,7 +326,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one command; warnings print as ``warning: <Category>: <message>``."""
+    default_format = warnings.formatwarning
+    warnings.formatwarning = _format_warning
+    try:
+        return _run(argv)
+    finally:
+        warnings.formatwarning = default_format
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

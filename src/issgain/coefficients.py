@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +34,8 @@ class Coefficient:
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size != values.size or grid.size < 8:
             raise ValueError("table needs matching 1-D arrays with >= 8 samples")
+        # imported here, not at the top: it adds ~250 ms to every start-up
+        from scipy.interpolate import CubicSpline
         spline = CubicSpline(grid, values)
         return cls("table", table_grid=grid, table_values=values, _spline=spline)
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SmoothnessWarning
 
@@ -49,6 +48,8 @@ class DisturbanceSignal:
         values = np.asarray(values, dtype=float)
         warnings.warn("tabulated disturbances are only piecewise C2",
                       SmoothnessWarning, stacklevel=2)
+        # imported here, not at the top: it adds ~250 ms to every start-up
+        from scipy.interpolate import CubicSpline
         return cls("tabulated", _spline=CubicSpline(times, values))
 
     def value(self, t):

@@ -23,7 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .disturbances import DisturbanceSignal, _quadratic_exp_quadrature
@@ -498,10 +497,12 @@ def simulate_via_lifting(problem: SLProblem, spectrum: Spectrum, d: DisturbanceS
 
     This is the cross-route verification of the lifting construction: the
     result approximates ``simulate_fd`` on the boundary-disturbed problem.
+    Incompatible initial data are projected with a warning, as there.
     """
     lifting = lift_disturbance(problem, d)
-    d0 = float(d.value(np.asarray(0.0))) / lifting.scale
-    y0 = GridFunction(problem.grid, x0.values - d0 * lifting.g.values)
+    d0 = float(d.value(np.asarray(0.0)))
+    x0 = _check_compatibility(problem, x0, d0, lifting)
+    y0 = GridFunction(problem.grid, x0.values - d0 / lifting.scale * lifting.g.values)
     forcing = LiftedForcing(problem, spectrum, lifting)
     y_traj = simulate_forced_spectral(problem, spectrum, forcing, y0, T, N, n_store)
     d_values = np.asarray(d.value(y_traj.times))
@@ -536,8 +537,9 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
         y0_prime_left = (4.0 * float(y0(eps)) - float(y0(2 * eps))
                          - 3.0 * float(y0(0.0))) / (2.0 * eps)
     else:
-        spline = CubicSpline(y0.grid, y0.values)
-        y0_fn = spline
+        # imported here, not at the top: it adds ~250 ms to every start-up
+        from scipy.interpolate import CubicSpline
+        y0_fn = CubicSpline(y0.grid, y0.values)
         y0_left = float(y0.values[0])
         y0_prime_left = y0.derivative_at_left()
 

@@ -1,13 +1,23 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import issgain.backstepping
 import issgain.cli
 import issgain.gains
+from issgain import Coefficient, DisturbanceSignal, GridFunction, advection_exact
 from issgain.cli import main
+from issgain.errors import CompatibilityWarning, SmoothnessWarning, TruncationWarning
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG_OK = """\
 schema = issgain/1
@@ -305,6 +315,16 @@ class TestSimulateCommand:
         assert "overflow" in err
         assert not out.exists()
 
+    def test_lifted_defaults_project_like_fd(self, tmp_path):
+        # constant d = 1 and x0 = 0 miss the inlet datum: both routes project x0
+        norms = {}
+        for solver in ("lifted", "fd"):
+            out = tmp_path / f"{solver}.csv"
+            with pytest.warns(CompatibilityWarning, match="misses the inlet datum"):
+                assert main(["simulate", "--solver", solver, "--output", str(out)]) == 0
+            norms[solver] = float(read(out)[-1].split(",")[1])
+        assert norms["lifted"] == pytest.approx(norms["fd"], rel=1e-5)
+
     def test_verify_iss_fd(self, tmp_path):
         traj, iss = tmp_path / "t.csv", tmp_path / "i.csv"
         code = main(["simulate", "--solver", "fd", "--case", "transport",
@@ -359,3 +379,84 @@ def test_help_exits_zero():
 
 def test_unknown_command_exit_three():
     assert main(["frobnicate"]) == 3
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_warnings_print_as_package_messages(tmp_path):
+    proc = run_python("import sys; from issgain.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "simulate", "--solver", "spectral", "--output", str(tmp_path / "t.csv"))
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    assert "warning: TruncationWarning: reconstruction misses the inlet value" in proc.stderr
+    assert ".py:" not in proc.stderr
+
+
+def test_main_keeps_warnings_recordable_and_restores_format(tmp_path):
+    before = warnings.formatwarning
+    with pytest.warns(TruncationWarning):
+        assert main(["simulate", "--solver", "spectral",
+                     "--output", str(tmp_path / "t.csv")]) == 0
+    assert warnings.formatwarning is before
+
+
+HEAVY_SCIPY = ("scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+               "scipy.fft")
+
+IMPORT_PROBE = """\
+import contextlib, io, json, sys
+heavy = sys.argv[1].split(",")
+loaded = {}
+def note(stage):
+    loaded[stage] = [name for name in heavy if name in sys.modules]
+import issgain, issgain.cli
+note("import")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [issgain.cli.main(["gain", "--case", "transport"]),
+             issgain.cli.main(["simulate", "--solver", "fd", "--T", "0.05",
+                               "--output", sys.argv[2]])]
+note("commands")
+issgain.Coefficient.table([i / 8 for i in range(9)], [1.0 + i for i in range(9)])
+note("table")
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_import_budget(tmp_path):
+    proc = run_python(IMPORT_PROBE, ",".join(HEAVY_SCIPY), str(tmp_path / "t.csv"))
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0]
+    assert probe["loaded"]["import"] == []
+    assert probe["loaded"]["commands"] == []
+    assert "scipy.interpolate" in probe["loaded"]["table"]
+
+
+def test_splines_match_cubic_spline():
+    grid = np.linspace(0.0, 1.0, 17)
+    values = np.cos(3.0 * grid) + grid ** 2
+    z = np.linspace(0.0, 1.0, 101)
+    spline = CubicSpline(grid, values)
+    coefficient = Coefficient.table(grid, values)
+    assert np.array_equal(coefficient(z), spline(z))
+    assert np.array_equal(coefficient.derivative(z), spline(z, 1))
+
+    with pytest.warns(SmoothnessWarning):
+        signal = DisturbanceSignal.tabulated(grid, values)
+    assert np.array_equal(signal.value(z), spline(z))
+    assert np.array_equal(signal.derivative(z), spline(z, 1))
+
+    d = DisturbanceSignal.constant(0.0)
+    y0 = GridFunction(grid, np.sin(np.pi * grid) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompatibilityWarning)
+        sampled = advection_exact(0.5, 0.3, d, y0, 1.0, resolution=64, n_store=8)
+        direct = advection_exact(0.5, 0.3, d, CubicSpline(grid, y0.values), 1.0,
+                                 resolution=64, n_store=8)
+    assert np.array_equal(sampled.values, direct.values)
