@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Fold the benchmark records of two checkouts into one BENCH_<label>.json.
+
+    python3 scripts/bench_snapshot.py PARENT CHANGE --label 9
+
+PARENT and CHANGE are source checkouts in which ``perfbench/run.py`` has
+been run with ``--trace 0``; their records lie in ``perfbench/results/``
+as ``<workload>-seed<seed>-trace0.json``.  Records are paired by
+(workload, seed), so each pair is one seed run on both sides, and the
+snapshot holds, per workload and for every end-to-end metric of CHANGE's
+BENCHMARK.json (plus the warm-up, import time and module count each record
+carries), both sides' median and quartiles, every run, and the number of
+pairs the change wins by the metric's ``better`` direction; ties count for
+neither side.  Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+# figures every record holds outside ``end_to_end``; lower is better for each
+RECORD_FIELDS = {"warmup_ms": "ms", "import_s": "s", "module_count": "count"}
+
+
+def _records(checkout: Path) -> dict:
+    """(workload, seed) -> record for the untraced runs of one checkout."""
+    found = {}
+    for path in sorted((checkout / "perfbench" / "results").glob("*-trace0.json")):
+        record = json.loads(path.read_text())
+        found[(record["workload"], record["seed"])] = record
+    return found
+
+
+def _one(records, key: str):
+    """The single value of ``key`` shared by all records; several is an error."""
+    values = {json.dumps(r[key], sort_keys=True) for r in records}
+    if len(values) != 1:
+        raise ValueError(f"records disagree on {key}: {sorted(values)}")
+    return json.loads(values.pop())
+
+
+def _summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def snapshot(parent: Path, change: Path, label: str) -> dict:
+    spec = json.loads((change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]}
+    metrics.update({name: (unit, "lower") for name, unit in RECORD_FIELDS.items()})
+    sides = {"parent": _records(parent), "change": _records(change)}
+    pairs = sorted(set(sides["parent"]) & set(sides["change"]))
+    if not pairs:
+        raise ValueError("no (workload, seed) has a record in both checkouts")
+    every = [sides[side][key] for side in sides for key in pairs]
+
+    workloads = {}
+    for workload in sorted({w for w, _ in pairs}):
+        seeds = [s for w, s in pairs if w == workload]
+        runs = {side: [sides[side][(workload, s)] for s in seeds] for side in sides}
+        entry = {"pairs": len(seeds), "seeds": seeds,
+                 **{f"{side}_failed_of_attempted": [sum(r["failed"] for r in rs),
+                                                    sum(r["attempted"] for r in rs)]
+                    for side, rs in runs.items()},
+                 "metrics": {}}
+        for name, (unit, better) in metrics.items():
+            values = {side: [r[name] if name in RECORD_FIELDS else r["end_to_end"][name]
+                             for r in rs] for side, rs in runs.items()}
+            sign = 1.0 if better == "lower" else -1.0
+            wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            entry["metrics"][name] = {
+                "unit": unit, "better": better,
+                **{side: {**_summary(v), "runs": v} for side, v in values.items()},
+                "change_wins": wins}
+        workloads[workload] = entry
+
+    return {"label": label,
+            "git_revision": {side: _one([recs[k] for k in pairs], "git_revision")
+                             for side, recs in sides.items()},
+            "machine": _one(every, "machine"), "numpy": _one(every, "numpy"),
+            "scipy": _one(every, "scipy"), "seconds": _one(every, "seconds"),
+            "workloads": workloads}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
+    parser.add_argument("--output", type=Path, help="default: BENCH_<label>.json")
+    args = parser.parse_args()
+    try:
+        result = snapshot(args.parent, args.change, args.label)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"bench_snapshot: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    output = args.output or Path(f"BENCH_{args.label}.json")
+    output.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {output}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,82 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_snapshot.py"
+
+SPEC = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+                       {"name": "ops_per_s", "unit": "1/s", "better": "higher",
+                        "bound": 0.25}]}
+MACHINE = {"platform": "Linux", "cpu": "test cpu", "cpus": 2, "python": "3.11"}
+
+
+def write_records(checkout: Path, revision: str, runs: dict):
+    """runs: (workload, seed) -> (setup_s, ops_per_s, warmup_ms)."""
+    results = checkout / "perfbench" / "results"
+    results.mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    for (workload, seed), (setup, ops, warmup) in runs.items():
+        record = {"workload": workload, "seed": seed, "seconds": 20.0, "trace": False,
+                  "machine": MACHINE, "numpy": "2.0", "scipy": "1.14",
+                  "git_revision": revision, "warmup_ms": warmup, "import_s": setup / 2,
+                  "module_count": 700 if revision == "aaa" else 470,
+                  "attempted": 10, "failed": 1 if seed == 1 else 0,
+                  "end_to_end": {"setup_s": setup, "ops_per_s": ops}}
+        (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+    # a traced record is not read
+    (results / "w-seed1-trace1.json").write_text("{}")
+
+
+def test_pairs_by_workload_and_seed(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_records(parent, "aaa", {("w", 1): (1.0, 10.0, 5.0), ("w", 2): (2.0, 20.0, 5.0),
+                                  ("w", 3): (3.0, 30.0, 5.0), ("w", 4): (4.0, 40.0, 5.0),
+                                  ("w", 9): (9.0, 90.0, 5.0), ("v", 1): (1.0, 1.0, 1.0)})
+    # seed 9 has no partner; seed 4 is a tie on setup_s and a loss on ops_per_s
+    write_records(change, "bbb", {("w", 1): (0.5, 11.0, 5.0), ("w", 2): (1.0, 21.0, 4.0),
+                                  ("w", 3): (1.5, 31.0, 6.0), ("w", 4): (4.0, 39.0, 5.0),
+                                  ("v", 1): (2.0, 1.0, 1.0)})
+    out = tmp_path / "BENCH_t.json"
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change),
+                           "--label", "t", "--output", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    snap = json.loads(out.read_text())
+    assert snap["git_revision"] == {"parent": "aaa", "change": "bbb"}
+    assert snap["machine"] == MACHINE
+    assert (snap["numpy"], snap["scipy"]) == ("2.0", "1.14")
+    w = snap["workloads"]["w"]
+    assert (w["pairs"], w["seeds"]) == (4, [1, 2, 3, 4])
+    assert w["parent_failed_of_attempted"] == [1, 40]
+    setup = w["metrics"]["setup_s"]
+    assert setup["parent"]["runs"] == [1.0, 2.0, 3.0, 4.0]
+    assert setup["parent"]["median"] == 2.5
+    assert (setup["parent"]["q1"], setup["parent"]["q3"]) == (1.25, 3.75)
+    assert setup["change_wins"] == 3
+    assert w["metrics"]["ops_per_s"]["better"] == "higher"
+    assert w["metrics"]["ops_per_s"]["change_wins"] == 3
+    assert w["metrics"]["warmup_ms"]["change_wins"] == 1
+    assert w["metrics"]["module_count"]["change"]["median"] == 470
+    v = snap["workloads"]["v"]
+    assert v["pairs"] == 1
+    assert v["metrics"]["setup_s"]["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0,
+                                                 "runs": [1.0]}
+    assert v["metrics"]["setup_s"]["change_wins"] == 0
+
+
+def test_mixed_revisions_rejected(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_records(parent, "aaa", {("w", 1): (1.0, 1.0, 1.0)})
+    write_records(change, "bbb", {("w", 1): (1.0, 1.0, 1.0)})
+    record = json.loads((change / "perfbench/results/w-seed1-trace0.json").read_text())
+    record.update(seed=2, git_revision="ccc")
+    (parent / "perfbench/results/w-seed2-trace0.json").write_text(json.dumps(
+        {**record, "git_revision": "aaa"}))
+    (change / "perfbench/results/w-seed2-trace0.json").write_text(json.dumps(record))
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change),
+                           "--label", "t", "--output", str(tmp_path / "B.json")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "records disagree on git_revision" in proc.stderr
+    assert not (tmp_path / "B.json").exists()
