@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i1 as bessel_i1, j1 as bessel_j1
 
+from .config import backstepping_target
 from .disturbances import DisturbanceSignal
 from .errors import GridMismatch, IncompatibleInitialCondition, NumericalFailure
 from .gains import backstepping_gain
@@ -43,7 +44,7 @@ from .pde_sim import (
     Trajectory,
     _crank_nicolson,
     _row_norms,
-    _running_max_abs,
+    _semidiscrete_operator,
     _store_indices,
     _time_steps,
 )
@@ -203,8 +204,10 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
                          n_store: int = 160) -> ClosedLoopResult:
     """Crank-Nicolson closed loop with the feedback folded in implicitly.
 
-    The inlet value u = d - integral k(0,s) y ds is the open-loop inlet tied
-    to the state by one dense feedback row; solved for u it reads
+    The plant y_t = D y_zz + p y is the Dirichlet problem p = D, q = -p, r = 1
+    (resolution >= 64) on :func:`issgain.pde_sim._semidiscrete_operator`.  The
+    inlet value u = d - integral k(0,s) y ds is the open-loop inlet tied to the
+    state by one dense feedback row; solved for u it reads
     u = (d - w[1:-1] @ y[1:-1])/(1 + w0) with w = kernel.weighted[0], and
     :func:`issgain.pde_sim._crank_nicolson` steps the plant with that row.
     """
@@ -230,28 +233,25 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
         raise IncompatibleInitialCondition(
             f"y0(0) = {y0.values[0]:.6g} but the feedback gives u(0) = {u0:.6g}")
 
+    sub, diag, sup, load, _, _ = _semidiscrete_operator(backstepping_target(-cfg.p, cfg.D, m))
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
-    rho = cfg.D / (h * h)
-    off = np.full(m - 2, rho)
     w0 = float(w_feedback[0])
     inlet = d_all / (1.0 + w0)
     inlet[0] = u0
-    rows, uvals = _crank_nicolson(off, np.full(m - 1, -2.0 * rho + cfg.p), off, rho, inlet,
-                                  y0.values[1:-1], dt, store_at,
-                                  feedback=w_feedback[1:-1] / (1.0 + w0))
+    rows, uvals = _crank_nicolson(sub, diag, sup, load[0], inlet, y0.values[1:-1], dt,
+                                  store_at, feedback=w_feedback[1:-1] / (1.0 + w0))
     y_rows = np.zeros((store_at.size, m + 1))
     y_rows[:, 1:-1] = rows
     y_rows[:, 0] = uvals
 
     times = times_all[store_at]
     d_vals = d_all[store_at]
-    run_max = _running_max_abs(d, times)
 
     def trajectory(rows, method, **fields):
-        return Trajectory(times, rows, kernel.grid, _row_norms(rows, h), d, d_vals, run_max,
-                          method, dt, h, **fields)
+        return Trajectory(times, rows, kernel.grid, _row_norms(rows, h), d, d_vals, method,
+                          dt, **fields)
 
     y_traj = trajectory(y_rows, "closed-loop-cn", extras={"control": uvals})
     x_traj = trajectory(y_rows + y_rows @ kernel.weighted.T, "closed-loop-transformed")

@@ -118,10 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_a(value) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
-    if value in ("inf", "+inf", "infinity"):
-        return math.inf
     try:
         a = float(value)
     except ValueError:
@@ -139,13 +135,11 @@ def _problem_from_args(args):
         if case == "dirichlet-laplacian":
             problem = dirichlet_laplacian(args.resolution)
         elif case == "transport":
+            D, v, k, a = args.D, args.v, args.k, _parse_a(args.a)
             if args.zeta is not None:
-                tc = TransportCase.from_zeta(args.zeta, _parse_a(args.a), args.D)
-                problem = transport_problem(tc.D, tc.v, tc.k, tc.a,
-                                            resolution=args.resolution)
-            else:
-                problem = transport_problem(args.D, args.v, args.k, _parse_a(args.a),
-                                            resolution=args.resolution)
+                tc = TransportCase.from_zeta(args.zeta, a, D)
+                D, v, k = tc.D, tc.v, tc.k
+            problem = transport_problem(D, v, k, a, resolution=args.resolution)
         elif case == "backstepping":
             problem = backstepping_target(args.c, args.D, args.resolution)
         else:
@@ -187,19 +181,14 @@ def cmd_spectrum(args) -> int:
     if report is None:
         print("hypothesis check skipped (needs >= 10 modes)", file=sink)
         return 0
-    print(f"lambda1 = {csvio.fmt(report.lambda1)}", file=sink)
-    print(f"positive = {report.positive}", file=sink)
-    print(f"partial_sum = {csvio.fmt(report.partial_sum)}", file=sink)
-    print(f"tail_bound = {csvio.fmt(report.tail_bound)}", file=sink)
-    print(f"certified = {report.certified}", file=sink)
-    print(f"method = {report.method}", file=sink)
+    print(csvio.kv_block(report), file=sink)
     return 0 if report.certified else 1
 
 
 def cmd_gain(args) -> int:
-    case = args.case or ("config" if args.config else "dirichlet-laplacian")
-    if case == "config":
-        problem = problem_from_config(load_config(args.config))
+    # closed forms serve the named cases; a config or a --q override takes series + BVP
+    if args.config or args.q is not None:
+        problem = _problem_from_args(args)
         spectrum = solve_spectrum(problem, args.modes)
         main_report = gain_series(problem, spectrum, args.modes)
         # gain_series has certified the spectrum already
@@ -207,19 +196,18 @@ def cmd_gain(args) -> int:
         rows = [("series_tail_corrected", main_report.tail_corrected),
                 ("bvp_integral", bvp.gain_C)]
     else:
+        case = args.case or "dirichlet-laplacian"
         if case == "transport":
             a = _parse_a(args.a)
-            tc = (TransportCase.from_zeta(args.zeta, a, args.D) if args.zeta is not None
-                  else TransportCase(args.D, args.v, args.k, a))
-            main_report = transport_gain(tc, args.N)
-            problem = transport_problem(tc.D, tc.v, tc.k, tc.a, resolution=args.resolution)
+            main_report = transport_gain(
+                TransportCase.from_zeta(args.zeta, a, args.D) if args.zeta is not None
+                else TransportCase(args.D, args.v, args.k, a), args.N)
         else:
-            c = args.c if case == "backstepping" else 0.0
-            main_report = backstepping_gain(c, args.D, args.N)
-            problem = backstepping_target(c, args.D, args.resolution)
+            main_report = backstepping_gain(args.c if case == "backstepping" else 0.0,
+                                            args.D, args.N)
         rows = [("closed_form", main_report.closed_value),
                 ("series", main_report.series_value),
-                ("bvp_integral", gain_bvp(problem).gain_C)]
+                ("bvp_integral", gain_bvp(_problem_from_args(args)).gain_C)]
     values = [v for _, v in rows]
     spread = max(values) - min(values)
     print("route,gain")

@@ -16,8 +16,6 @@ class Coefficient:
     kind: str                     # "constant" | "exp" | "table"
     value: float = 0.0            # constant value, or amplitude of the exponential
     rate: float = 0.0             # exponential rate: value * exp(rate * z)
-    table_grid: np.ndarray | None = None
-    table_values: np.ndarray | None = None
     _spline: object = field(default=None, repr=False)
 
     @classmethod
@@ -37,7 +35,7 @@ class Coefficient:
         # imported here, not at the top: it adds ~250 ms to every start-up
         from scipy.interpolate import CubicSpline
         spline = CubicSpline(grid, values)
-        return cls("table", table_grid=grid, table_values=values, _spline=spline)
+        return cls("table", _spline=spline)
 
     @classmethod
     def coerce(cls, obj) -> "Coefficient":

@@ -65,18 +65,21 @@ def _get_float(cfg: dict, key: str, default=None) -> float:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    value = cfg[key]
-    if value in ("inf", "+inf", "infinity"):
-        return math.inf
     try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {value!r}") from exc
+        number = float(cfg[key])
+    except ValueError:
+        number = math.nan
+    if math.isnan(number):
+        raise ConfigError(f"key {key!r}: not a number: {cfg[key]!r}")
+    return number
 
 
 def problem_from_config(cfg: dict) -> SLProblem:
     kind = cfg.get("kind")
-    resolution = int(_get_float(cfg, "resolution", DEFAULT_RESOLUTION))
+    resolution = _get_float(cfg, "resolution", DEFAULT_RESOLUTION)
+    if not (math.isfinite(resolution) and resolution == int(resolution)):
+        raise ConfigError(f"key 'resolution': not a finite integer: {cfg['resolution']!r}")
+    resolution = int(resolution)
     if kind == "constant":
         return build_problem(
             _get_float(cfg, "p"), _get_float(cfg, "q"), _get_float(cfg, "r"),

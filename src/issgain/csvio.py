@@ -1,6 +1,7 @@
 """Deterministic CSV output: 12 significant digits, period decimal, newline rows."""
 from __future__ import annotations
 
+import dataclasses
 import sys
 from contextlib import contextmanager
 
@@ -8,9 +9,7 @@ from contextlib import contextmanager
 def fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int,)) and not isinstance(x, bool):
+    if isinstance(x, (str, int)):
         return str(x)
     return format(float(x), ".12g")
 
@@ -31,6 +30,19 @@ def write_csv(header: str, rows, where=None) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")
+
+
+def kv_block(record) -> str:
+    """One ``key = value`` line per dataclass field of ``record``, in declaration
+    order, skipping fields that are None; floats print with 12 significant
+    digits, str, int and bool values as ``str``."""
+    lines = []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if value is not None:
+            text = str(value) if isinstance(value, (str, int)) else format(value, ".12g")
+            lines.append(f"{f.name} = {text}")
+    return "\n".join(lines)
 
 
 def spectrum_rows(spectrum):
@@ -66,8 +78,7 @@ def trajectory_header(traj, wide: bool = False) -> str:
 
 
 def iss_report_rows(report):
-    for eps, margin, t, ok in report.rows():
-        yield (eps, margin, t, ok)
+    return report.rows()
 
 
 ISS_HEADER = "epsilon,min_margin,argmin_t,pass"

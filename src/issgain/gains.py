@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma
 
+from .csvio import kv_block
 from .errors import InadmissibleCase, UncertifiedHypothesis
 from .grids import uniform_grid
 from .sturm_liouville import (
@@ -69,32 +70,7 @@ class GainReport:
         return self.gain_C + self.tail_estimate
 
     def to_kv_block(self) -> str:
-        pairs = [
-            ("gain_C", self.gain_C),
-            ("route", self.route),
-            ("truncation_N", self.truncation_N),
-            ("tail_estimate", self.tail_estimate),
-            ("epsilon", self.epsilon),
-            ("iss_overshoot", self.iss_overshoot),
-            ("iss_decay_rate", self.iss_decay_rate),
-            ("iss_gain", self.iss_gain),
-            ("boundary_norm", self.boundary_norm),
-        ]
-        if self.series_value is not None:
-            pairs.append(("series_value", self.series_value))
-        if self.closed_value is not None:
-            pairs.append(("closed_value", self.closed_value))
-        if self.discrepancy is not None:
-            pairs.append(("discrepancy", self.discrepancy))
-        lines = []
-        for key, val in pairs:
-            if isinstance(val, str):
-                lines.append(f"{key} = {val}")
-            elif isinstance(val, int):
-                lines.append(f"{key} = {val}")
-            else:
-                lines.append(f"{key} = {val:.12g}")
-        return "\n".join(lines)
+        return kv_block(self)
 
 
 def _report(gain, route, n, tail, epsilon, decay, bnorm, **extra) -> GainReport:

@@ -5,6 +5,7 @@ number of intervals so that composite Simpson weights always apply.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +100,15 @@ def derivative_at_right(values: np.ndarray, h: float) -> float:
     return float((25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h))
 
 
+@functools.cache
 def tail_quadrature_matrix(resolution: int) -> np.ndarray:
     """Row ``i`` holds quadrature weights for ``integral from z_i to 1``.
 
     Fourth-order composite rules: Simpson for even interval counts, Simpson
     plus a trailing 3/8 block for odd counts >= 3.  The single-interval row
     keeps a trapezoid: only two in-triangle samples exist there, and its
-    O(h^3) local error cancels between mutually inverse kernels.
+    O(h^3) local error cancels between mutually inverse kernels.  Built once
+    per resolution and returned read-only.
     """
     h = 1.0 / resolution
     n = resolution + 1
@@ -122,4 +125,5 @@ def tail_quadrature_matrix(resolution: int) -> np.ndarray:
             if m > 3:
                 w[i, i:n - 3] += h * simpson_weights(m - 2)
             w[i, n - 4:] += h * 3.0 / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    w.flags.writeable = False
     return w

@@ -77,10 +77,8 @@ class Trajectory:
     norms: np.ndarray
     disturbance: DisturbanceSignal
     d_values: np.ndarray
-    running_max_d: np.ndarray
     method: str
     dt: float
-    dz: float
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -95,6 +93,11 @@ class Trajectory:
     @property
     def states(self) -> StateView:
         return StateView(self.values, self.grid)
+
+    @property
+    def running_max_d(self) -> np.ndarray:
+        """max |d| over [times[0], t] at each stored time t."""
+        return _running_max_abs(self.disturbance, self.times)
 
     @property
     def final_state(self) -> GridFunction:
@@ -181,19 +184,12 @@ def lift_disturbance(problem: SLProblem, d: DisturbanceSignal) -> LiftingRecord:
 def _semidiscrete_operator(problem: SLProblem):
     """Sub-, main and super-diagonal of A, load direction and active window
     of x' = A x + d(t) load, where A = -M^{-1} T on the active nodes of the
-    finite-volume stiffness T and lumped mass M of ``_assemble``."""
-    diag, off, mass, lo, hi = _assemble(problem, problem.resolution)
-    active = mass[lo:hi + 1]
-    coupling = off[lo:hi]
+    finite-volume stiffness T and lumped mass M of ``_assemble``; the load is
+    M^{-1} times its inlet column."""
+    diag, off, mass, inlet, lo, hi = _assemble(problem, problem.resolution)
     load = np.zeros(hi - lo + 1)
-    if problem.b2 == 0.0:
-        # the Dirichlet inlet value d/b1 couples into the first active node
-        load[0] = -off[0] / active[0] / problem.b1
-    else:
-        # the inlet flux p(0) x'(0) = p(0) (d - b1 x(0))/b2 enters the half cell
-        load[0] = -float(problem.p(np.zeros(1))[0]) / problem.b2 / active[0]
-    return (-coupling / active[1:], -diag[lo:hi + 1] / active, -coupling / active[:-1],
-            load, lo, hi)
+    load[0] = inlet / mass[0]
+    return -off / mass[1:], -diag / mass, -off / mass[:-1], load, lo, hi
 
 
 def _require_store(n_store: int):
@@ -329,11 +325,9 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
     if problem.b2 == 0.0:
         values[:, 0] = inlet / problem.b1
 
-    h = problem.spacing
-    norms = _row_norms(values, h, problem.r(problem.grid))
-    times = times_all[store_at]
-    return Trajectory(times, values, problem.grid, norms, d, inlet,
-                      _running_max_abs(d, times), "crank-nicolson", dt_run, h)
+    norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
+    return Trajectory(times_all[store_at], values, problem.grid, norms, d, inlet,
+                      "crank-nicolson", dt_run)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +371,7 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     d_values = np.asarray(d.value(times))
     traj = Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms, d,
-                      d_values, _running_max_abs(d, times), "spectral",
-                      times[1] - times[0], problem.spacing,
+                      d_values, "spectral", times[1] - times[0],
                       extras={"coefficients": coeffs, "coupling": kappa / s,
                               "eigenvalues": lam})
 
@@ -485,8 +478,7 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     zero = DisturbanceSignal.constant(0.0)
     return Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms,
-                      zero, np.zeros(times.size), np.zeros(times.size), "forced-spectral",
-                      times[1] - times[0], problem.spacing,
+                      zero, np.zeros(times.size), "forced-spectral", times[1] - times[0],
                       extras={"coefficients": coeffs, "eigenvalues": lam})
 
 
@@ -508,9 +500,8 @@ def simulate_via_lifting(problem: SLProblem, spectrum: Spectrum, d: DisturbanceS
     d_values = np.asarray(d.value(y_traj.times))
     values = y_traj.values + np.outer(d_values / lifting.scale, lifting.g.values)
     norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
-    run_max = _running_max_abs(d, y_traj.times)
-    return Trajectory(y_traj.times, values, problem.grid, norms, d, d_values, run_max,
-                      "lifted-spectral", y_traj.dt, problem.spacing,
+    return Trajectory(y_traj.times, values, problem.grid, norms, d, d_values,
+                      "lifted-spectral", y_traj.dt,
                       extras={"y_coefficients": y_traj.extras["coefficients"]})
 
 
@@ -561,9 +552,8 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
         behind = ~ahead
         vals[behind] = np.exp(-k * grid[behind] / v) * d.value(t - grid[behind] / v)
     d_values = np.asarray(d.value(times))
-    run_max = _running_max_abs(d, times)
-    return Trajectory(times, values, grid, _row_norms(values, h, weight), d, d_values, run_max,
-                      "advection-exact", times[1] - times[0], h,
+    return Trajectory(times, values, grid, _row_norms(values, h, weight), d, d_values,
+                      "advection-exact", times[1] - times[0],
                       extras={"v": v, "k": k, "weight_D": weight_D})
 
 
@@ -613,11 +603,6 @@ class ISSCheckReport:
         yield from zip(self.epsilons, self.min_margins, self.argmin_times,
                        self.per_epsilon_pass)
 
-    def to_kv_block(self) -> str:
-        lines = [f"worst_relative_violation = {self.worst_relative_violation:.12g}",
-                 f"slack = {self.slack:.12g}", f"pass = {self.passed}"]
-        return "\n".join(lines)
-
 
 def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
                slack: float = 1e-3) -> ISSCheckReport:
@@ -631,10 +616,7 @@ def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
     if envelope.epsilon_dependent and any(e <= 0 for e in epsilons):
         raise ValueError("epsilon values must be positive")
     norm0 = traj.norms[0]
-    if envelope.max_window is not None:
-        maxd = _running_max_abs(traj.disturbance, traj.times, envelope.max_window)
-    else:
-        maxd = traj.running_max_d
+    maxd = _running_max_abs(traj.disturbance, traj.times, envelope.max_window)
     decay = np.exp(-envelope.decay_rate * traj.times)
 
     eps_list = tuple(epsilons) if envelope.epsilon_dependent else (math.nan,)

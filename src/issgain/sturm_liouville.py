@@ -146,12 +146,13 @@ class HypothesisReport:
     partial_sum: float
     tail_bound: float
     certified: bool
-    n_partial: int
     method: str  # "transport-bound" | "heuristic-fit" | "none"
 
 
 def _assemble(problem: SLProblem, resolution: int):
-    """Stiffness diagonal/off-diagonal, mass diagonal, and active index range."""
+    """Stiffness diagonal/off-diagonal, mass diagonal and inlet column on the active
+    nodes lo..hi.  ``inlet`` is the column's one nonzero, in the first active row,
+    per unit datum: ph[0]/h/b1 (Dirichlet inlet) or -p(0)/b2 (Robin inlet)."""
     m = resolution
     h = 1.0 / m
     pn, qn, rn, ph = problem.sample(m)
@@ -164,9 +165,11 @@ def _assemble(problem: SLProblem, resolution: int):
     with np.errstate(over="ignore", invalid="ignore"):
         if problem.b2 == 0.0:
             lo = 1
+            inlet = ph[0] / h / problem.b1
         else:
             diag[0] = ph[0] / h - pn[0] * (problem.b1 / problem.b2) + qn[0] * h / 2.0
             mass[0] = rn[0] * h / 2.0
+            inlet = -pn[0] / problem.b2
         if problem.a2 == 0.0:
             hi = m - 1
         else:
@@ -178,17 +181,16 @@ def _assemble(problem: SLProblem, resolution: int):
                                  "grid; use a = inf (--a inf) for a Dirichlet exit")):
             if robin != 0.0 and not math.isfinite(diag[end] / mass[end]):
                 raise ConfigError(f"a boundary row overflows at resolution {m}: {fix}")
-    return diag, off, mass, lo, hi
+    return diag[lo:hi + 1], off[lo:hi], mass[lo:hi + 1], inlet, lo, hi
 
 
 def _solve_raw_spectrum(problem: SLProblem, resolution: int, n_modes: int):
     """Eigenpairs of the finite-volume scheme at one resolution."""
-    diag, off, mass, lo, hi = _assemble(problem, resolution)
-    d = diag[lo:hi + 1] / mass[lo:hi + 1]
-    e = off[lo:hi] / np.sqrt(mass[lo:hi] * mass[lo + 1:hi + 1])
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1))
+    diag, off, mass, _, lo, hi = _assemble(problem, resolution)
+    e = off / np.sqrt(mass[:-1] * mass[1:])
+    w, v = eigh_tridiagonal(diag / mass, e, select="i", select_range=(0, n_modes - 1))
     phi = np.zeros((n_modes, resolution + 1))
-    phi[:, lo:hi + 1] = (v / np.sqrt(mass[lo:hi + 1])[:, None]).T
+    phi[:, lo:hi + 1] = (v / np.sqrt(mass)[:, None]).T
     return w, phi
 
 
@@ -316,32 +318,23 @@ def check_hypothesis_H(spectrum: Spectrum, problem: SLProblem) -> HypothesisRepo
     partial = float(np.sum(sup_phi[pos] / lam[pos]))
 
     if not positive:
-        return HypothesisReport(lambda1, False, partial, math.inf, False,
-                                spectrum.n_modes, "none")
+        return HypothesisReport(lambda1, False, partial, math.inf, False, "none")
     if problem.has_constant_coefficients:
         tail = _tail_constant_coefficients(problem, spectrum.n_modes)
         certified = math.isfinite(tail)
-        return HypothesisReport(lambda1, True, partial, tail, certified,
-                                spectrum.n_modes, "transport-bound")
+        return HypothesisReport(lambda1, True, partial, tail, certified, "transport-bound")
     tail = 1.05 * float(sup_phi.max()) * _power_law_tail(1.0 / lam, spectrum.n_modes)
-    return HypothesisReport(lambda1, True, partial, tail, False,
-                            spectrum.n_modes, "heuristic-fit")
+    return HypothesisReport(lambda1, True, partial, tail, False, "heuristic-fit")
 
 
 def _steady_system(problem: SLProblem, m: int, boundary_value: float):
     """Steady-BVP system at resolution m: diagonal, off-diagonal and right-hand
     side on the active nodes lo..hi, and the Dirichlet inlet value (else 0)."""
-    diag, off, _, lo, hi = _assemble(problem, m)
-    h = 1.0 / m
-    pn, _, _, ph = problem.sample(m)
+    diag, off, _, inlet, lo, hi = _assemble(problem, m)
     rhs = np.zeros(hi - lo + 1)
-    left_value = 0.0
-    if problem.b2 == 0.0:
-        left_value = boundary_value / problem.b1
-        rhs[0] = ph[0] / h * left_value
-    else:
-        rhs[0] = -pn[0] * boundary_value / problem.b2
-    return diag[lo:hi + 1], off[lo:hi], lo, hi, rhs, left_value
+    rhs[0] = inlet * boundary_value
+    left_value = boundary_value / problem.b1 if problem.b2 == 0.0 else 0.0
+    return diag, off, lo, hi, rhs, left_value
 
 
 def solve_steady_bvp(problem: SLProblem, boundary_value: float,
@@ -368,9 +361,8 @@ def solve_steady_bvp(problem: SLProblem, boundary_value: float,
         raise SingularBVP("steady BVP is near-singular (an eigenvalue is close to 0)")
 
     x = np.zeros(m + 1)
+    x[0] = left_value                  # the Dirichlet inlet value; else solved for
     x[lo:hi + 1] = x_active
-    if problem.b2 == 0.0:
-        x[0] = left_value
     h = 1.0 / m
     grid = uniform_grid(m)
     return GridFunction(grid, x,

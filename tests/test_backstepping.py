@@ -444,3 +444,27 @@ class TestClosedLoop:
         assert env.decay_rate == pytest.approx(math.pi ** 2)
         assert env.overshoot_base == 1.0
         assert env.gain_base == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+
+
+class TestPlantOperator:
+    """The closed loop steps the plant SLProblem p = D, q = -p, r = 1 (Dirichlet)."""
+
+    @pytest.mark.parametrize("D, p, m", [(1.0, 3.0, 256), (0.7, 5.0, 64), (2.0, -1.0, 128)])
+    def test_plant_operator_is_the_reaction_diffusion_stencil(self, D, p, m):
+        from issgain.config import backstepping_target
+        from issgain.pde_sim import _semidiscrete_operator
+        sub, diag, sup, load, lo, hi = _semidiscrete_operator(backstepping_target(-p, D, m))
+        rho = D * m * m
+        assert (lo, hi) == (1, m - 1)
+        assert np.array_equal(sub, np.full(m - 2, rho))
+        assert np.array_equal(sup, np.full(m - 2, rho))
+        assert np.array_equal(diag, np.full(m - 1, -2.0 * rho + p))
+        assert load[0] == rho and not np.any(load[1:])
+
+    def test_resolution_below_64_rejected(self):
+        cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(0.0))
+        kernel = solve_kernel(cfg, 32)                  # kernels alone accept M = 32
+        grid = kernel.grid
+        with pytest.raises(ValueError, match="resolution must be >= 64"):
+            simulate_closed_loop(cfg, GridFunction(grid, np.zeros_like(grid)), 1e-3, 0.1,
+                                 kernel=kernel)

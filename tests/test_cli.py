@@ -12,6 +12,7 @@ from scipy.interpolate import CubicSpline
 
 import issgain.backstepping
 import issgain.cli
+import issgain.config
 import issgain.gains
 from issgain import Coefficient, DisturbanceSignal, GridFunction, advection_exact
 from issgain.cli import main
@@ -148,6 +149,37 @@ class TestGainCommand:
         assert main(["gain", "--case", "transport", "--a", "nan"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: --a must be a nonnegative number or 'inf'")
+
+    def test_q_override_takes_series_and_bvp(self, capsys):
+        # the closed form is for the unmodified case; --q 5 gives zeta = sqrt(5)
+        assert main(["gain", "--case", "transport", "--zeta", "1", "--a", "1", "--q", "5"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.split("\n\n")[0]
+                    .splitlines()[1:])
+        assert set(rows) == {"series_tail_corrected", "bvp_integral", "max_disagreement"}
+        assert float(rows["bvp_integral"]) == pytest.approx(
+            issgain.gains.transport_gain_closed(math.sqrt(5.0), 1.0), rel=1e-9)
+
+    def test_config_q_override(self, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(CONFIG_OK)                     # form = x, q = v^2/4D = 0.25
+
+        def bvp(*extra):
+            assert main(["gain", "--config", str(cfg), *extra]) == 0
+            out = capsys.readouterr().out
+            return float(out.split("bvp_integral,")[1].split()[0])
+        assert bvp() == pytest.approx(
+            issgain.gains.transport_gain_closed(0.5, math.inf), rel=1e-7)
+        assert bvp("--q", "2") == pytest.approx(
+            issgain.gains.transport_gain_closed(math.sqrt(2.0), math.inf), rel=1e-7)
+
+    def test_spectrum_report_block(self, capsys):
+        assert main(["spectrum", "--case", "dirichlet-laplacian", "--modes", "12",
+                     "--output", "-"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [
+            "lambda1", "positive", "partial_sum", "tail_bound", "certified", "method"]
+        assert lines[1] == "positive = True" and lines[4] == "certified = True"
+        assert lines[5] == "method = transport-bound"
 
     def test_huge_exit_parameter_message(self, capsys):
         with warnings.catch_warnings():
@@ -371,6 +403,42 @@ class TestRejectedInputs:
         assert main(["simulate", "--solver", "fd", "--dt", "1e-320",
                      "--output", str(tmp_path / "out.csv")]) == 3
         assert capsys.readouterr().err.startswith("config error: T/dt overflows")
+
+
+class TestConfigValues:
+    """Config values that are not numbers, or resolutions that are not finite
+    integers, end in exit 3 with a message naming the key."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("a", "nan"), ("D", "nan"), ("resolution", "nan"), ("resolution", "inf"),
+        ("resolution", "1e400"), ("resolution", "256.5"),
+    ])
+    def test_exit_three_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" if line.split(" = ")[0] == key
+                               else line + "\n" for line in CONFIG_OK.splitlines()))
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key {key!r}:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_exit_parameter_spellings(self, tmp_path):
+        for spelling in ("inf", "+inf", "infinity", "Infinity"):
+            cfg = tmp_path / "inf.cfg"
+            cfg.write_text(CONFIG_OK.replace("a = inf", f"a = {spelling}"))
+            assert issgain.config.problem_from_config(
+                issgain.config.load_config(str(cfg))).a2 == 0.0
+            assert issgain.cli._parse_a(spelling) == math.inf
+
+
+def test_closed_loop_needs_resolution_64(tmp_path, capsys):
+    out = tmp_path / "cl.csv"
+    assert main(["simulate", "--solver", "closed-loop", "--resolution", "32",
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "config error: resolution must be >= 64\n"
+    assert not out.exists()
 
 
 def test_help_exits_zero():

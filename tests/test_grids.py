@@ -69,3 +69,21 @@ def test_grid_mismatch():
     f = GridFunction(uniform_grid(8), np.zeros(9))
     with pytest.raises(GridMismatch):
         require_same_grid(f, uniform_grid(10))
+
+
+def test_tail_matrix_built_once_per_resolution_and_read_only():
+    from issgain.backstepping import ClosedLoopConfig, solve_inverse_kernel, solve_kernel
+    cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0)
+    tail_quadrature_matrix.cache_clear()
+    kernel = solve_kernel(cfg, 64)
+    inverse = solve_inverse_kernel(cfg, 64)
+    assert tail_quadrature_matrix.cache_info().misses == 1
+    w = tail_quadrature_matrix(64)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    # the kernels carry the same products as with a freshly built matrix
+    fresh = tail_quadrature_matrix.__wrapped__(64)
+    assert np.array_equal(fresh, w)
+    for k in (kernel, inverse):
+        assert np.array_equal(k.weighted, fresh * k.values)

@@ -54,3 +54,31 @@ class TestCsv:
         row1 = lines[1].split(",")
         assert float(row1[1]) == pytest.approx(math.pi ** 2, rel=1e-6)
         assert float(row1[3]) == pytest.approx(math.sqrt(2) * math.pi, rel=1e-6)
+
+
+class TestKvBlock:
+    def test_fields_in_order_skipping_none(self):
+        import dataclasses
+
+        from issgain.csvio import kv_block
+
+        @dataclasses.dataclass(frozen=True)
+        class Record:
+            value: float
+            flag: bool
+            count: int
+            name: str
+            missing: float | None = None
+            tail: float = math.inf
+
+        assert kv_block(Record(1.0 / 3.0, True, 16, "series")) == (
+            "value = 0.333333333333\nflag = True\ncount = 16\nname = series\ntail = inf")
+
+    def test_gain_report_block(self):
+        from issgain.gains import backstepping_gain
+        block = backstepping_gain(1.0, 1.0).to_kv_block()
+        assert [line.split(" = ")[0] for line in block.splitlines()] == [
+            "gain_C", "route", "truncation_N", "tail_estimate", "epsilon", "iss_overshoot",
+            "iss_decay_rate", "iss_gain", "boundary_norm", "series_value", "closed_value",
+            "discrepancy"]
+        assert "\nroute = closed_form\ntruncation_N = 10000\ntail_estimate = 0\n" in block

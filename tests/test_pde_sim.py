@@ -442,8 +442,7 @@ class TestCrankNicolsonLoop:
         values[2, 5] = np.nan
         with pytest.raises(ValueError, match="values must be finite"):
             Trajectory(np.arange(3.0), values, grid, np.zeros(3),
-                       DisturbanceSignal.constant(0.0), np.zeros(3), np.zeros(3),
-                       "test", 1.0, laplacian_problem.spacing)
+                       DisturbanceSignal.constant(0.0), np.zeros(3), "test", 1.0)
 
     def test_zero_feedback_row_is_the_open_loop(self, transport_case_problem):
         sub, diag, sup, load, lo, hi = pde_sim._semidiscrete_operator(transport_case_problem)

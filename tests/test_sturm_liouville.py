@@ -253,3 +253,25 @@ class TestQuadratureOps:
         predicted = p0 * (spec.derivatives_at_0 / s - (-1.0) * spec.values_at_0 / s) \
             / spec.eigenvalues
         assert np.max(np.abs(coeffs - predicted)) < 1e-6
+
+
+class TestAssembly:
+    """_assemble returns the active window and the inlet column's one nonzero."""
+
+    def test_dirichlet_inlet(self):
+        from issgain.sturm_liouville import _assemble
+        problem = build_problem(Coefficient.exponential(2.0, -0.5), 0.3, 1.0, 1, 1, 4.0, 0, 64)
+        diag, off, mass, inlet, lo, hi = _assemble(problem, 64)
+        assert (lo, hi) == (1, 64)
+        assert diag.size == mass.size == 64 and off.size == 63
+        ph0 = float(problem.p(np.array([0.5 / 64]))[0])
+        assert inlet == pytest.approx(ph0 * 64 / 4.0, rel=1e-15)
+
+    def test_robin_inlet(self):
+        from issgain.sturm_liouville import _assemble
+        problem = build_problem(3.0, 0.3, 1.0, 1, 0, 2.0, -1.5, 64)
+        diag, off, mass, inlet, lo, hi = _assemble(problem, 64)
+        assert (lo, hi) == (0, 63)
+        assert diag.size == mass.size == 64 and off.size == 63
+        assert inlet == -3.0 / -1.5
+        assert mass[0] == 0.5 / 64
