@@ -4,14 +4,16 @@
     python3 scripts/bench_snapshot.py PARENT CHANGE --label 9
 
 PARENT and CHANGE are source checkouts in which ``perfbench/run.py`` has
-been run with ``--trace 0``; their records lie in ``perfbench/results/``
-as ``<workload>-seed<seed>-trace0.json``.  Records are paired by
-(workload, seed), so each pair is one seed run on both sides, and the
-snapshot holds, per workload and for every end-to-end metric of CHANGE's
+been run; their records lie in ``perfbench/results/`` as
+``<workload>-seed<seed>-trace<0|1>.json``.  Records are paired by
+(workload, seed, trace), so each pair is one seed run on both sides.  Per
+workload, the snapshot holds, for every end-to-end metric of CHANGE's
 BENCHMARK.json (plus the warm-up, import time and module count each record
-carries), both sides' median and quartiles, every run, and the number of
-pairs the change wins by the metric's ``better`` direction; ties count for
-neither side.  Standard library only.
+carries) over the untraced (``--trace 0``) pairs, and for every per-layer
+metric over the traced (``--trace 1``) pairs under ``per_layer``, both
+sides' median and quartiles, every run, and the number of pairs the change
+wins by the metric's ``better`` direction; ties count for neither side.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -25,10 +27,10 @@ from pathlib import Path
 RECORD_FIELDS = {"warmup_ms": "ms", "import_s": "s", "module_count": "count"}
 
 
-def _records(checkout: Path) -> dict:
-    """(workload, seed) -> record for the untraced runs of one checkout."""
+def _records(checkout: Path, trace: bool) -> dict:
+    """(workload, seed) -> record for the traced or untraced runs of one checkout."""
     found = {}
-    for path in sorted((checkout / "perfbench" / "results").glob("*-trace0.json")):
+    for path in sorted((checkout / "perfbench" / "results").glob(f"*-trace{int(trace)}.json")):
         record = json.loads(path.read_text())
         found[(record["workload"], record["seed"])] = record
     return found
@@ -47,41 +49,60 @@ def _summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def _compare(runs: dict, metrics: dict, value) -> dict:
+    """Per metric: both sides' summary and runs, and the pairs the change wins."""
+    compared = {}
+    for name, (unit, better) in metrics.items():
+        values = {side: [value(r, name) for r in rs] for side, rs in runs.items()}
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        compared[name] = {"unit": unit, "better": better,
+                          **{side: {**_summary(v), "runs": v} for side, v in values.items()},
+                          "change_wins": wins}
+    return compared
+
+
+def _paired(sides: dict, workload: str, pairs: list) -> tuple[list, dict]:
+    seeds = [s for w, s in pairs if w == workload]
+    return seeds, {side: [recs[(workload, s)] for s in seeds] for side, recs in sides.items()}
+
+
 def snapshot(parent: Path, change: Path, label: str) -> dict:
     spec = json.loads((change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]}
     metrics.update({name: (unit, "lower") for name, unit in RECORD_FIELDS.items()})
-    sides = {"parent": _records(parent), "change": _records(change)}
+    layers = {m["name"]: (m["unit"], m["better"]) for m in spec.get("per_layer", [])}
+    sides = {"parent": _records(parent, False), "change": _records(change, False)}
+    traced = {"parent": _records(parent, True), "change": _records(change, True)}
     pairs = sorted(set(sides["parent"]) & set(sides["change"]))
+    traced_pairs = sorted(set(traced["parent"]) & set(traced["change"]))
     if not pairs:
         raise ValueError("no (workload, seed) has a record in both checkouts")
-    every = [sides[side][key] for side in sides for key in pairs]
+    used = {side: [sides[side][k] for k in pairs] + [traced[side][k] for k in traced_pairs]
+            for side in sides}
 
     workloads = {}
     for workload in sorted({w for w, _ in pairs}):
-        seeds = [s for w, s in pairs if w == workload]
-        runs = {side: [sides[side][(workload, s)] for s in seeds] for side in sides}
+        seeds, runs = _paired(sides, workload, pairs)
         entry = {"pairs": len(seeds), "seeds": seeds,
                  **{f"{side}_failed_of_attempted": [sum(r["failed"] for r in rs),
                                                     sum(r["attempted"] for r in rs)]
                     for side, rs in runs.items()},
-                 "metrics": {}}
-        for name, (unit, better) in metrics.items():
-            values = {side: [r[name] if name in RECORD_FIELDS else r["end_to_end"][name]
-                             for r in rs] for side, rs in runs.items()}
-            sign = 1.0 if better == "lower" else -1.0
-            wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
-            entry["metrics"][name] = {
-                "unit": unit, "better": better,
-                **{side: {**_summary(v), "runs": v} for side, v in values.items()},
-                "change_wins": wins}
+                 "metrics": _compare(runs, metrics, lambda r, name: r[name] if name in
+                                     RECORD_FIELDS else r["end_to_end"][name])}
+        seeds, runs = _paired(traced, workload, traced_pairs)
+        if seeds:
+            measured = {name: kind for name, kind in layers.items()
+                        if all(name in r["per_layer"] for rs in runs.values() for r in rs)}
+            entry["per_layer"] = {"pairs": len(seeds), "seeds": seeds,
+                                  "metrics": _compare(runs, measured,
+                                                      lambda r, name: r["per_layer"][name])}
         workloads[workload] = entry
 
     return {"label": label,
-            "git_revision": {side: _one([recs[k] for k in pairs], "git_revision")
-                             for side, recs in sides.items()},
-            "machine": _one(every, "machine"), "numpy": _one(every, "numpy"),
-            "scipy": _one(every, "scipy"), "seconds": _one(every, "seconds"),
+            "git_revision": {side: _one(recs, "git_revision") for side, recs in used.items()},
+            **{key: _one(used["parent"] + used["change"], key)
+               for key in ("machine", "numpy", "scipy", "seconds")},
             "workloads": workloads}
 
 

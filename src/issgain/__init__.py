@@ -65,7 +65,6 @@ from .gains import (
 )
 from .grids import GridFunction, uniform_grid
 from .pde_sim import (
-    GenericForcing,
     ISSCheckReport,
     IssEnvelope,
     LiftedForcing,

@@ -16,7 +16,6 @@ import numpy as np
 from . import csvio
 from .config import (
     backstepping_target,
-    dirichlet_laplacian,
     load_config,
     problem_from_config,
     transport_problem,
@@ -133,7 +132,7 @@ def _problem_from_args(args):
     else:
         case = args.case or "dirichlet-laplacian"
         if case == "dirichlet-laplacian":
-            problem = dirichlet_laplacian(args.resolution)
+            problem = backstepping_target(0.0, args.D, args.resolution)
         elif case == "transport":
             D, v, k, a = args.D, args.v, args.k, _parse_a(args.a)
             if args.zeta is not None:

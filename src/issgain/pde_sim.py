@@ -11,6 +11,9 @@ Three routes to the same solution:
                           homogeneous-boundary problem with a distributed
                           forcing, add the lift back.
 
+The spectral routes take the exponential convolutions of all stored intervals
+in one call; only the coefficient recurrence runs interval by interval.
+
 ``advection_exact`` evaluates the method-of-characteristics solution of the
 pure advection equation, and ``verify_iss`` checks exponential-plus-gain
 envelopes against trajectory norms.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .disturbances import DisturbanceSignal, _quadratic_exp_quadrature
+from .disturbances import DisturbanceSignal
 from .errors import (
     CompatibilityWarning,
     IncompatibleInitialCondition,
@@ -344,9 +347,11 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
              + p(0)(b1 phi_n'(0) - b2 phi_n(0)) / (b1^2+b2^2)
                * integral_0^t e^{-lambda_n (t-s)} d(s) ds,
     with the convolution exact for constant and sinusoidal disturbances.
-    Norms come from the Parseval sum of the coefficients; reconstruction at
-    the inlet misses the boundary value (the expansion converges in the
-    weighted L2 norm only), which is reported as a TruncationWarning.
+    One ``exp_convolution`` call gives the convolutions over all stored
+    intervals.  Norms come from the Parseval sum of the coefficients;
+    reconstruction at the inlet misses the boundary value (the expansion
+    converges in the weighted L2 norm only), which is reported as a
+    TruncationWarning.
     """
     _certify(problem, spectrum)
     if N < 1 or N > spectrum.n_modes:
@@ -360,13 +365,12 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
     kappa = p0 * (b1n * spectrum.derivatives_at_0[:N] - b2n * spectrum.values_at_0[:N])
 
     times = _store_times(T, n_store)
+    decays = np.exp(-lam * np.diff(times)[:, None])
+    inputs = kappa / s * d.exp_convolution(lam, times[:-1], times[1:])
     coeffs = np.empty((times.size, N))
     coeffs[0] = fourier_coefficients(x0, spectrum, problem)[:N]
     for i in range(1, times.size):
-        t0, t1 = float(times[i - 1]), float(times[i])
-        decay = np.exp(-lam * (t1 - t0))
-        conv = d.exp_convolution(lam, t0, t1)
-        coeffs[i] = decay * coeffs[i - 1] + kappa / s * conv
+        coeffs[i] = decays[i - 1] * coeffs[i - 1] + inputs[i - 1]
 
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     d_values = np.asarray(d.value(times))
@@ -387,7 +391,15 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
 
 
 class LiftedForcing:
-    """Forcing d~(t) A(z) + d~'(t) B(z) induced by a lifting record."""
+    """Forcing d~(t) A(z) + d~'(t) B(z) induced by a lifting record.
+
+    This is the forcing protocol of :func:`simulate_forced_spectral`:
+    ``theta(t, n)`` gives the first n modal coefficients of the forcing at
+    the times ``t``, and ``theta_dot_convolution(lam, t0, t1)`` gives
+    integral_{t0}^{t1} e^{-lam (t1-s)} theta'(s) ds per mode.  A scalar time
+    (or interval) gives shape (n,); arrays of n_t times (or interval ends)
+    give (n_t, n).
+    """
 
     def __init__(self, problem: SLProblem, spectrum: Spectrum, lifting: LiftingRecord):
         w = simpson_weights(spectrum.grid.size)
@@ -398,47 +410,20 @@ class LiftedForcing:
         self.signal = lifting.signal
         self.scale = lifting.scale
 
-    def theta(self, t: float, n_modes: int) -> np.ndarray:
-        dv = float(self.signal.value(np.asarray(t))) / self.scale
-        dp = float(self.signal.derivative(np.asarray(t))) / self.scale
+    def theta(self, t, n_modes: int) -> np.ndarray:
+        dv = self.signal.value(t)[..., None] / self.scale
+        dp = self.signal.derivative(t)[..., None] / self.scale
         return self.alpha[:n_modes] * dv + self.beta[:n_modes] * dp
 
-    def theta_dot_convolution(self, lam: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    def theta_dot_convolution(self, lam: np.ndarray, t0, t1) -> np.ndarray:
         """integral e^{-lam (t1-s)} theta'(s) ds via d' and d'' convolutions."""
         conv_dp = self.signal.exp_convolution_derivative(lam, t0, t1) / self.scale
         # integral e^{-lam(t1-s)} d''(s) ds by parts: d'(t1) - e^{-lam dt} d'(t0) - lam * conv_dp
-        dp1 = float(self.signal.derivative(np.asarray(t1))) / self.scale
-        dp0 = float(self.signal.derivative(np.asarray(t0))) / self.scale
+        t0, t1 = np.asarray(t0, dtype=float)[..., None], np.asarray(t1, dtype=float)[..., None]
+        dp1 = self.signal.derivative(t1) / self.scale
+        dp0 = self.signal.derivative(t0) / self.scale
         conv_dpp = dp1 - np.exp(-lam * (t1 - t0)) * dp0 - lam * conv_dp
-        na = self.alpha[:lam.size]
-        nb = self.beta[:lam.size]
-        return na * conv_dp + nb * conv_dpp
-
-
-class GenericForcing:
-    """Forcing given by callables f(t) -> values and f_t(t) -> values."""
-
-    def __init__(self, problem: SLProblem, spectrum: Spectrum, f, f_t):
-        self._w = simpson_weights(spectrum.grid.size)
-        self._rz = problem.r(spectrum.grid)
-        self._h = spectrum.grid[1] - spectrum.grid[0]
-        self._phi = spectrum.eigenfunctions
-        self._f = f
-        self._f_t = f_t
-
-    def _project(self, values, n_modes: int) -> np.ndarray:
-        """Coefficients on the first n_modes eigenfunctions of one grid
-        sample, or of a stack of samples along the first axis."""
-        weighted = np.asarray(values, dtype=float) * (self._w * self._rz)
-        return self._h * weighted @ self._phi[:n_modes].T
-
-    def theta(self, t: float, n_modes: int) -> np.ndarray:
-        return self._project(self._f(t), n_modes)
-
-    def theta_dot_convolution(self, lam: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        def theta_dot(times):
-            return self._project([self._f_t(float(s)) for s in times], lam.size)
-        return _quadratic_exp_quadrature(theta_dot, lam, t0, t1)
+        return self.alpha[:lam.size] * conv_dp + self.beta[:lam.size] * conv_dpp
 
 
 def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
@@ -449,6 +434,9 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
     Implements the integration-by-parts series: per mode and interval,
     c(t1) = e^{-lam dt} c(t0) + (theta(t1) - e^{-lam dt} theta(t0))/lam
             - lam^{-1} integral e^{-lam (t1-s)} theta'(s) ds.
+    ``forcing`` follows the protocol of :class:`LiftedForcing`; it is asked
+    once for theta at every stored time and once for the convolutions over
+    every stored interval.
     """
     _certify(problem, spectrum)
     if N < 1 or N > spectrum.n_modes:
@@ -464,16 +452,14 @@ def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
             f"(residuals {bval:.2e}, {aval:.2e})")
 
     lam = spectrum.eigenvalues[:N]
+    decays = np.exp(-lam * np.diff(times)[:, None])
+    theta = forcing.theta(times, N)
+    theta_terms = (theta[1:] - decays * theta[:-1]) / lam
+    conv_terms = forcing.theta_dot_convolution(lam, times[:-1], times[1:]) / lam
     coeffs = np.empty((times.size, N))
     coeffs[0] = fourier_coefficients(y0, spectrum, problem)[:N]
-    theta_prev = forcing.theta(0.0, N)
     for i in range(1, times.size):
-        t0, t1 = float(times[i - 1]), float(times[i])
-        decay = np.exp(-lam * (t1 - t0))
-        theta_now = forcing.theta(t1, N)
-        conv = forcing.theta_dot_convolution(lam, t0, t1)
-        coeffs[i] = decay * coeffs[i - 1] + (theta_now - decay * theta_prev) / lam - conv / lam
-        theta_prev = theta_now
+        coeffs[i] = decays[i - 1] * coeffs[i - 1] + theta_terms[i - 1] - conv_terms[i - 1]
 
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     zero = DisturbanceSignal.constant(0.0)

@@ -7,12 +7,15 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_snapshot.py"
 
 SPEC = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
                        {"name": "ops_per_s", "unit": "1/s", "better": "higher",
-                        "bound": 0.25}]}
+                        "bound": 0.25}],
+        "per_layer": [{"name": "a.calls", "unit": "count", "better": "lower"},
+                      {"name": "a.ratio", "unit": "1", "better": "higher"}]}
 MACHINE = {"platform": "Linux", "cpu": "test cpu", "cpus": 2, "python": "3.11"}
 
 
-def write_records(checkout: Path, revision: str, runs: dict):
-    """runs: (workload, seed) -> (setup_s, ops_per_s, warmup_ms)."""
+def write_records(checkout: Path, revision: str, runs: dict, traced: dict = None):
+    """runs: (workload, seed) -> (setup_s, ops_per_s, warmup_ms);
+    traced: (workload, seed) -> per-layer metrics of a traced run."""
     results = checkout / "perfbench" / "results"
     results.mkdir(parents=True)
     (checkout / "BENCHMARK.json").write_text(json.dumps(SPEC))
@@ -24,8 +27,11 @@ def write_records(checkout: Path, revision: str, runs: dict):
                   "attempted": 10, "failed": 1 if seed == 1 else 0,
                   "end_to_end": {"setup_s": setup, "ops_per_s": ops}}
         (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
-    # a traced record is not read
-    (results / "w-seed1-trace1.json").write_text("{}")
+    for (workload, seed), per_layer in (traced or {}).items():
+        record = {"workload": workload, "seed": seed, "seconds": 20.0, "trace": True,
+                  "machine": MACHINE, "numpy": "2.0", "scipy": "1.14",
+                  "git_revision": revision, "per_layer": per_layer}
+        (results / f"{workload}-seed{seed}-trace1.json").write_text(json.dumps(record))
 
 
 def test_pairs_by_workload_and_seed(tmp_path):
@@ -80,3 +86,51 @@ def test_mixed_revisions_rejected(tmp_path):
     assert proc.returncode == 1
     assert "records disagree on git_revision" in proc.stderr
     assert not (tmp_path / "B.json").exists()
+
+
+def test_traced_records_fold_per_layer_medians(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    runs = {("w", 1): (1.0, 1.0, 1.0), ("v", 1): (1.0, 1.0, 1.0)}
+    write_records(parent, "aaa", runs,
+                  {("w", 5): {"a.calls": 80, "a.ratio": 0.5},
+                   ("w", 6): {"a.calls": 80, "a.ratio": 0.5},
+                   ("w", 7): {"a.calls": 81, "a.ratio": 0.4},
+                   ("v", 5): {"a.calls": 3}})
+    # seed 7 has no traced partner; a.ratio is missing from v's records
+    write_records(change, "bbb", runs,
+                  {("w", 5): {"a.calls": 2, "a.ratio": 0.5},
+                   ("w", 6): {"a.calls": 4, "a.ratio": 1.0},
+                   ("v", 5): {"a.calls": 3}})
+    out = tmp_path / "BENCH_t.json"
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change),
+                           "--label", "t", "--output", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    snap = json.loads(out.read_text())
+    assert snap["git_revision"] == {"parent": "aaa", "change": "bbb"}
+    w = snap["workloads"]["w"]
+    assert w["pairs"] == 1 and "setup_s" in w["metrics"]
+    layers = w["per_layer"]
+    assert (layers["pairs"], layers["seeds"]) == (2, [5, 6])
+    calls = layers["metrics"]["a.calls"]
+    assert calls["unit"] == "count" and calls["better"] == "lower"
+    assert calls["parent"] == {"median": 80, "q1": 80, "q3": 80, "runs": [80, 80]}
+    assert calls["change"]["median"] == 3 and calls["change"]["runs"] == [2, 4]
+    assert calls["change_wins"] == 2
+    ratio = layers["metrics"]["a.ratio"]
+    assert ratio["better"] == "higher" and ratio["change_wins"] == 1
+    v = snap["workloads"]["v"]["per_layer"]
+    assert list(v["metrics"]) == ["a.calls"] and v["metrics"]["a.calls"]["change_wins"] == 0
+
+
+def test_untraced_only_has_no_per_layer(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_records(parent, "aaa", {("w", 1): (1.0, 1.0, 1.0)})
+    write_records(change, "bbb", {("w", 1): (1.0, 1.0, 1.0)},
+                  {("w", 1): {"a.calls": 2, "a.ratio": 0.5}})
+    out = tmp_path / "BENCH_t.json"
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change),
+                           "--label", "t", "--output", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "per_layer" not in json.loads(out.read_text())["workloads"]["w"]

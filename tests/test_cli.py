@@ -76,6 +76,17 @@ class TestSpectrumCommand:
         assert float(first[1]) == pytest.approx(math.pi ** 2, rel=1e-6)
         assert "certified = True" in capsys.readouterr().out
 
+    def test_laplacian_honours_D(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--D", "3", "--modes", "12", "--output", str(out)]) == 0
+        assert float(read(out)[1].split(",")[1]) == pytest.approx(3 * math.pi ** 2, rel=1e-6)
+        # at the default D = 1 the case is the unit Laplacian, bit for bit
+        plain = issgain.config.dirichlet_laplacian(256)
+        default = issgain.config.backstepping_target(0.0, 1.0, 256)
+        for name in ("eigenvalues", "eigenfunctions"):
+            assert np.array_equal(getattr(issgain.solve_spectrum(plain, 12), name),
+                                  getattr(issgain.solve_spectrum(default, 12), name))
+
     def test_negative_potential_exit_one(self, tmp_path):
         out = tmp_path / "spec.csv"
         code = main(["spectrum", "--case", "dirichlet-laplacian", "--q", "-20",
@@ -107,6 +118,22 @@ class TestGainCommand:
         for line in out.splitlines():
             if line.startswith(("closed_form,", "series,", "bvp_integral,")):
                 assert float(line.split(",")[1]) == pytest.approx(0.5773502692, abs=1e-6)
+
+    def test_laplacian_bvp_route_on_D(self, monkeypatch, capsys):
+        problems = []
+
+        def recording(problem, *args, **kwargs):
+            problems.append(problem)
+            return issgain.gains.gain_bvp(problem, *args, **kwargs)
+
+        monkeypatch.setattr(issgain.cli, "gain_bvp", recording)
+        assert main(["gain", "--D", "3"]) == 0
+        (problem,) = problems
+        assert np.all(problem.p(problem.grid) == 3.0)
+        out = capsys.readouterr().out
+        assert "iss_decay_rate = 29.6088132033\n" in out
+        assert float(out.split("bvp_integral,")[1].split()[0]) == pytest.approx(
+            1 / math.sqrt(3), rel=1e-9)
 
     def test_transport_zeta_one(self, capsys):
         assert main(["gain", "--case", "transport", "--zeta", "1", "--a", "inf"]) == 0

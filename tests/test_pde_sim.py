@@ -7,12 +7,12 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lapack, solve_banded
 
+import issgain.disturbances as disturbances
 import issgain.pde_sim as pde_sim
 import issgain.sturm_liouville
 from issgain import (
     CompatibilityWarning,
     DisturbanceSignal,
-    GenericForcing,
     GridFunction,
     IncompatibleInitialCondition,
     IssEnvelope,
@@ -40,8 +40,37 @@ from issgain import (
     verify_iss,
     weighted_norm,
 )
-from issgain.disturbances import _j_moments
+from issgain.disturbances import _j_moments, _quadratic_exp_quadrature
 from issgain.grids import simpson_weights
+
+
+class GenericForcing:
+    """Forcing given by callables f(t) -> values and f_t(t) -> values on the
+    grid, in the forcing protocol of ``simulate_forced_spectral``: a scalar
+    time gives (n_modes,) coefficients, an array of times (n_times, n_modes)."""
+
+    def __init__(self, problem, spectrum, f, f_t):
+        self._w = simpson_weights(spectrum.grid.size)
+        self._rz = problem.r(spectrum.grid)
+        self._h = spectrum.grid[1] - spectrum.grid[0]
+        self._phi = spectrum.eigenfunctions
+        self._f = f
+        self._f_t = f_t
+
+    def _project(self, fn, times, n_modes: int) -> np.ndarray:
+        """Coefficients on the first n_modes eigenfunctions of fn sampled at
+        each of ``times``, shaped ``times.shape + (n_modes,)``."""
+        times = np.asarray(times, dtype=float)
+        samples = [fn(float(s)) for s in times.ravel()]
+        weighted = np.asarray(samples, dtype=float) * (self._w * self._rz)
+        return (self._h * weighted @ self._phi[:n_modes].T).reshape(times.shape + (n_modes,))
+
+    def theta(self, t, n_modes: int) -> np.ndarray:
+        return self._project(self._f, t, n_modes)
+
+    def theta_dot_convolution(self, lam, t0, t1) -> np.ndarray:
+        return _quadratic_exp_quadrature(lambda times: self._project(self._f_t, times, lam.size),
+                                         lam, t0, t1)
 
 
 def scalar_exp_quadrature(fn, lam, t0, t1, n_sub=None):
@@ -276,6 +305,89 @@ class TestDisturbanceSignal:
         conv = forcing.theta_dot_convolution(laplacian_spectrum.eigenvalues, 0.1, 0.3)
         assert conv.shape == (12,)
         assert len(samples) == 2 * 16 + 1
+
+
+def batch_signals():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tabulated = DisturbanceSignal.tabulated(np.linspace(0.0, 4.0, 30),
+                                                np.cos(np.linspace(0.0, 4.0, 30)))
+    return [DisturbanceSignal.constant(0.7), DisturbanceSignal.sinusoid(1.3, 2.5, 0.3, 0.2),
+            DisturbanceSignal.sinusoid(1.3, 0.0, 0.3, 0.2),
+            DisturbanceSignal.smoothed_step(2.0, 0.8), tabulated]
+
+
+class TestBatchedIntervals:
+    """One call over many intervals returns, row for row, the one-interval values."""
+
+    @pytest.mark.parametrize("d", batch_signals(), ids=lambda d: d.kind)
+    def test_batch_equals_per_interval_calls(self, d):
+        # lengths 0.25 and 0.5 take 16 and 32 substeps, 2.7 takes 173
+        t0 = np.array([0.0, 0.25, 0.75, 1.0, 1.1, 3.8])
+        t1 = np.array([0.25, 0.75, 1.0, 1.1, 3.8, 4.0])
+        lam = np.array([0.0, 0.5, 12.0, 400.0, 3e4])
+        for method in (d.exp_convolution, d.exp_convolution_derivative):
+            batch = method(lam, t0, t1)
+            assert batch.shape == (t0.size, lam.size)
+            for i in range(t0.size):
+                assert np.array_equal(batch[i], method(lam, float(t0[i]), float(t1[i])))
+            # a scalar rate gives one value per interval
+            assert np.array_equal(method(12.0, t0, t1), batch[:, 2])
+
+    def test_batch_beyond_chunk_limit(self):
+        d = DisturbanceSignal.smoothed_step(1.7, 0.9)
+        lam = np.geomspace(0.5, 1e4, 32)
+        # 16 substeps per interval of length 0.1: three chunks and a part
+        n = 3 * disturbances._CHUNK_ELEMENTS // (16 * lam.size) + 1
+        edges = np.linspace(0.0, 0.1 * n, n + 1)
+        for method in (d.exp_convolution, d.exp_convolution_derivative):
+            batch = method(lam, edges[:-1], edges[1:])
+            assert batch.shape == (n, lam.size)
+            for i in range(n):
+                assert np.array_equal(batch[i], method(lam, float(edges[i]),
+                                                       float(edges[i + 1])))
+
+    @pytest.mark.parametrize("n_store", [8, 160])
+    @pytest.mark.parametrize("d", [DisturbanceSignal.smoothed_step(1.0, 0.5),
+                                   DisturbanceSignal.sinusoid(1.0, 3.0, 0.2)],
+                             ids=lambda d: d.kind)
+    def test_one_convolution_call_per_run(self, monkeypatch, transport_case_problem,
+                                          transport_case_spectrum, d, n_store):
+        calls = []
+        for name in ("exp_convolution", "exp_convolution_derivative"):
+            original = getattr(DisturbanceSignal, name)
+
+            def counting(self, *args, original=original, name=name):
+                calls.append(name)
+                return original(self, *args)
+
+            monkeypatch.setattr(DisturbanceSignal, name, counting)
+        x0 = GridFunction(transport_case_problem.grid,
+                          np.zeros_like(transport_case_problem.grid))
+        for route in (simulate_spectral, simulate_via_lifting):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                traj = route(transport_case_problem, transport_case_spectrum, d, x0, 2.0,
+                             N=16, n_store=n_store)
+            assert traj.times.size == n_store + 1
+            assert len(calls) == 1
+
+    def test_lifted_forcing_theta_batch(self, transport_case_problem,
+                                        transport_case_spectrum):
+        d = DisturbanceSignal.smoothed_step(1.0, 0.5)
+        forcing = LiftedForcing(transport_case_problem, transport_case_spectrum,
+                                lift_disturbance(transport_case_problem, d))
+        times = np.linspace(0.0, 1.0, 9)
+        lam = transport_case_spectrum.eigenvalues[:10]
+        theta = forcing.theta(times, 10)
+        conv = forcing.theta_dot_convolution(lam, times[:-1], times[1:])
+        assert theta.shape == (9, 10) and conv.shape == (8, 10)
+        for i, t in enumerate(times):
+            assert np.array_equal(theta[i], forcing.theta(float(t), 10))
+        for i in range(8):
+            assert np.array_equal(conv[i], forcing.theta_dot_convolution(
+                lam, float(times[i]), float(times[i + 1])))
 
 
 class TestSimulateFd:
