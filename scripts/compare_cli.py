@@ -48,7 +48,8 @@ README = [
 GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg",
         "--config ../x.cfg --q 2", "--config ../negq.cfg", "--config ../robin.cfg",
         "--config ../y.cfg", "--case transport --a 1e14", "--case transport --a nan",
-        "--case transport --D 0", "--case transport --v -1", "--case backstepping --c -1"]
+        "--case transport --D 0", "--case transport --v -1", "--case backstepping --c -1",
+        "--case transport --zeta 1e6 --a 1", "--case transport --zeta 128 --a inf"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
             "--case backstepping --c 2 --D 0.5 --modes 16",
             *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"]]
@@ -57,6 +58,8 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "fd --case transport --q 2 --x0 sine --output traj.csv",
             f"spectral --case transport --zeta 1 --a 1 --disturbance smoothed-step {ISS}",
             f"lifted --case transport --zeta 0.5 --a 0 --disturbance sinusoid {ISS}",
+            "lifted --case transport --zeta 4 --a inf --disturbance smoothed-step --ramp 1 "
+            f"--T 9 --store 40 --modes 32 {ISS}",
             f"advection --disturbance sinusoid {ISS}",
             "closed-loop --resolution 32 --output cl.csv", f"closed-loop --resolution 64 {ISS}",
             "closed-loop --resolution 200 --disturbance smoothed-step --output cl.csv",

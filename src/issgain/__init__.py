@@ -67,13 +67,11 @@ from .grids import GridFunction, uniform_grid
 from .pde_sim import (
     ISSCheckReport,
     IssEnvelope,
-    LiftedForcing,
     LiftingRecord,
     Trajectory,
     advection_exact,
     lift_disturbance,
     simulate_fd,
-    simulate_forced_spectral,
     simulate_spectral,
     simulate_via_lifting,
     verify_iss,

@@ -165,7 +165,7 @@ def _initial_state(args, problem, d0: float) -> GridFunction:
     if args.x0 == "steady":
         return solve_steady_bvp(problem, d0)
     if args.x0 == "lift":
-        lifting = lift_disturbance(problem, DisturbanceSignal.constant(d0))
+        lifting = lift_disturbance(problem)
         return GridFunction(grid, d0 / lifting.scale * lifting.g.values)
     return GridFunction(grid, args.amplitude * np.sin(math.pi * grid))
 
@@ -215,6 +215,9 @@ def cmd_gain(args) -> int:
     print(f"max_disagreement,{csvio.fmt(spread)}")
     print()
     print(main_report.to_kv_block())
+    if spread > 1e-4 * max(values):       # one constant by every route: a spread is a failure
+        raise NumericalFailure(f"gain routes disagree by {spread:.3g}, more than "
+                               f"1e-4 x the largest, {max(values):.6g}")
     return 0
 
 

@@ -53,37 +53,41 @@ class DisturbanceSignal:
         return cls("tabulated", _spline=CubicSpline(times, values))
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(t, self.amplitude, dtype=float)
-        if self.kind == "sinusoid":
-            return self.offset + self.amplitude * np.sin(self.frequency * t + self.phase)
-        if self.kind == "smoothed_step":
-            u = np.clip(t / self.ramp_time, 0.0, 1.0)
-            return self.amplitude * u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
-        return self._spline(t)
+        return self._evaluate(t, 0)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t, dtype=float)
-        if self.kind == "sinusoid":
-            return self.amplitude * self.frequency * np.cos(self.frequency * t + self.phase)
-        if self.kind == "smoothed_step":
-            u = np.clip(t / self.ramp_time, 0.0, 1.0)
-            return self.amplitude * 30.0 * u * u * (1.0 - u) ** 2 / self.ramp_time
-        return self._spline(t, 1)
+        return self._evaluate(t, 1)
 
     def second_derivative(self, t):
+        return self._evaluate(t, 2)
+
+    def _evaluate(self, t, order: int):
+        """d, d' or d'' at ``t``, shaped like ``t``.  A 0-d ``t`` goes through
+        the 1-d array path, so that d(t) equals its element of any array bit
+        for bit (numpy rounds scalar and array powers differently)."""
         t = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(t)
         if self.kind == "constant":
-            return np.zeros_like(t, dtype=float)
-        if self.kind == "sinusoid":
-            return -self.amplitude * self.frequency ** 2 * np.sin(self.frequency * t + self.phase)
-        if self.kind == "smoothed_step":
-            u = np.clip(t / self.ramp_time, 0.0, 1.0)
-            return self.amplitude * 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) / self.ramp_time ** 2
-        return self._spline(t, 2)
+            out = np.full_like(ts, self.amplitude if order == 0 else 0.0)
+        elif self.kind == "sinusoid":
+            amp, om, arg = self.amplitude, self.frequency, self.frequency * ts + self.phase
+            if order == 0:
+                out = self.offset + amp * np.sin(arg)
+            elif order == 1:
+                out = amp * om * np.cos(arg)
+            else:
+                out = -amp * om ** 2 * np.sin(arg)
+        elif self.kind == "smoothed_step":
+            u, amp, ramp = np.clip(ts / self.ramp_time, 0.0, 1.0), self.amplitude, self.ramp_time
+            if order == 0:
+                out = amp * u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
+            elif order == 1:
+                out = amp * 30.0 * u * u * (1.0 - u) ** 2 / ramp
+            else:
+                out = amp * 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) / ramp ** 2
+        else:
+            out = self._spline(ts, order)
+        return out.reshape(t.shape)
 
     def exp_convolution(self, lam: float | np.ndarray, t0: float | np.ndarray,
                         t1: float | np.ndarray) -> float | np.ndarray:

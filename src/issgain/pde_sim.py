@@ -2,16 +2,17 @@
 
 Three routes to the same solution:
 
-* ``simulate_fd``       - Crank-Nicolson finite differences, boundary data
-                          entering through the scheme average (half-step).
-* ``simulate_spectral`` - exact exponential integration of the coefficient
-                          dynamics c_n' = p(0)(b1 phi_n'(0) - b2 phi_n(0)) d
-                          - lambda_n c_n (normalized boundary constants).
-* ``lift + forced``     - subtract d(t) g(z) with a cubic g, solve the
-                          homogeneous-boundary problem with a distributed
-                          forcing, add the lift back.
+* ``simulate_fd``          - Crank-Nicolson finite differences, boundary data
+                             entering through the scheme average (half-step).
+* ``simulate_spectral``    - exact exponential integration of the modal
+                             dynamics c_n' = -lambda_n c_n + coupling_n d(t),
+                             with the boundary coupling
+                             p(0)(b1 phi_n'(0) - b2 phi_n(0))/s^2.
+* ``simulate_via_lifting`` - the same modal recurrence with the coupling of
+                             a cubic lift g (Green's identity), reconstructed
+                             as sum c_n phi_n + (d/s)(g - P_N g).
 
-The spectral routes take the exponential convolutions of all stored intervals
+Both modal routes take the exponential convolutions of all stored intervals
 in one call; only the coefficient recurrence runs interval by interval.
 
 ``advection_exact`` evaluates the method-of-characteristics solution of the
@@ -31,7 +32,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .disturbances import DisturbanceSignal
 from .errors import (
     CompatibilityWarning,
-    IncompatibleInitialCondition,
     MissingEnvelopeParameters,
     NumericalFailure,
     StabilityWarning,
@@ -140,26 +140,21 @@ def _running_max_abs(d: DisturbanceSignal, times: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class LiftingRecord:
-    """Cubic lift g and the induced distributed forcing.
+    """Cubic lift g and its image under the spatial operator.
 
     With normalized boundary constants (b1, b2)/s, s = sqrt(b1^2+b2^2), the
-    substitution x = y + (d/s) g turns the boundary datum into the forcing
-    f(t,z) = (d(t)/s) A(z) + (d'(t)/s) B(z), where A = ((p g')' - q g)/r and
-    B = -g.
+    substitution x = y + (d/s) g moves the boundary datum into the domain:
+    y has homogeneous boundary data and the distributed forcing
+    (d/s) A - (d'/s) g, where A = ((p g')' - q g)/r is ``forcing_A``.
     """
 
     g: GridFunction
     coeffs: tuple                 # (b1n, b2n, c1, c2)
     forcing_A: np.ndarray
-    forcing_B: np.ndarray
     scale: float                  # sqrt(b1^2 + b2^2)
-    signal: DisturbanceSignal
-
-    def lift_values(self, t: float) -> np.ndarray:
-        return float(self.signal.value(np.asarray(t))) / self.scale * self.g.values
 
 
-def lift_disturbance(problem: SLProblem, d: DisturbanceSignal) -> LiftingRecord:
+def lift_disturbance(problem: SLProblem) -> LiftingRecord:
     """Minimum-norm cubic g with b1 g(0) + b2 g'(0) = s and a1 g(1) + a2 g'(1) = 0."""
     s = problem.boundary_norm
     b1n, b2n = problem.b1 / s, problem.b2 / s
@@ -177,7 +172,7 @@ def lift_disturbance(problem: SLProblem, d: DisturbanceSignal) -> LiftingRecord:
     rn = problem.r(grid)
     forcing_a = (problem.p.derivative(grid) * g_prime + problem.p(grid) * g_second
                  - problem.q(grid) * g_vals) / rn
-    return LiftingRecord(g, (b1n, b2n, c1, c2), forcing_a, -g_vals, s, d)
+    return LiftingRecord(g, (b1n, b2n, c1, c2), forcing_a, s)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,7 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
     if d.kind == "sinusoid" and d.frequency * dt > 0.5:
         warnings.warn("time step is coarse for the disturbance frequency "
                       f"(omega*dt = {d.frequency * dt:.2f})", StabilityWarning, stacklevel=2)
-    lifting = lift_disturbance(problem, d)
+    lifting = lift_disturbance(problem)
     x0 = _check_compatibility(problem, x0, float(d.value(np.asarray(0.0))), lifting)
 
     sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
@@ -337,47 +332,55 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
 # spectral routes
 
 
-def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
-                      x0: GridFunction, T: float, N: int = 64,
-                      n_store: int = DEFAULT_STORE) -> Trajectory:
-    """Exponential-integrator evolution of the first N generalized Fourier modes.
+def _modal_run(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
+               x0: GridFunction, T: float, N: int, n_store: int,
+               coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stored times and coefficients c_n = <phi_n, x>_r of the first N modes.
 
-    Each coefficient follows
-    c_n(t) = e^{-lambda_n t} c_n(0)
-             + p(0)(b1 phi_n'(0) - b2 phi_n(0)) / (b1^2+b2^2)
-               * integral_0^t e^{-lambda_n (t-s)} d(s) ds,
-    with the convolution exact for constant and sinusoidal disturbances.
-    One ``exp_convolution`` call gives the convolutions over all stored
-    intervals.  Norms come from the Parseval sum of the coefficients;
-    reconstruction at the inlet misses the boundary value (the expansion
-    converges in the weighted L2 norm only), which is reported as a
-    TruncationWarning.
+    Each mode follows c_n' = -lambda_n c_n + coupling_n d(t), so per stored
+    interval c(t_i) = e^{-lambda dt} c(t_{i-1}) + coupling * integral
+    e^{-lambda (t_i - s)} d(s) ds.  One ``exp_convolution`` call gives the
+    convolutions over all stored intervals; only the recurrence is a loop.
     """
     _certify(problem, spectrum)
     if N < 1 or N > spectrum.n_modes:
         raise ValueError("need 1 <= N <= number of computed modes")
     require_same_grid(x0, problem.grid)
-
-    s = problem.boundary_norm
-    b1n, b2n = problem.b1 / s, problem.b2 / s
-    p0 = float(problem.p(np.zeros(1))[0])
-    lam = spectrum.eigenvalues[:N]
-    kappa = p0 * (b1n * spectrum.derivatives_at_0[:N] - b2n * spectrum.values_at_0[:N])
-
     times = _store_times(T, n_store)
+    lam = spectrum.eigenvalues[:N]
     decays = np.exp(-lam * np.diff(times)[:, None])
-    inputs = kappa / s * d.exp_convolution(lam, times[:-1], times[1:])
+    inputs = coupling[:N] * d.exp_convolution(lam, times[:-1], times[1:])
     coeffs = np.empty((times.size, N))
     coeffs[0] = fourier_coefficients(x0, spectrum, problem)[:N]
     for i in range(1, times.size):
         coeffs[i] = decays[i - 1] * coeffs[i - 1] + inputs[i - 1]
+    return times, coeffs
+
+
+def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
+                      x0: GridFunction, T: float, N: int = 64,
+                      n_store: int = DEFAULT_STORE) -> Trajectory:
+    """Exponential-integrator evolution of the first N generalized Fourier modes.
+
+    The boundary coupling of mode n is p(0)(b1 phi_n'(0) - b2 phi_n(0))/s^2,
+    s = sqrt(b1^2+b2^2), and :func:`_modal_run` integrates the modes, exactly
+    for constant and sinusoidal disturbances.  Norms come from the Parseval
+    sum of the coefficients; reconstruction at the inlet misses the boundary
+    value (the expansion converges in the weighted L2 norm only), which is
+    reported as a TruncationWarning.
+    """
+    s = problem.boundary_norm
+    b1n, b2n = problem.b1 / s, problem.b2 / s
+    p0 = float(problem.p(np.zeros(1))[0])
+    coupling = p0 * (b1n * spectrum.derivatives_at_0 - b2n * spectrum.values_at_0) / s
+    times, coeffs = _modal_run(problem, spectrum, d, x0, T, N, n_store, coupling)
 
     norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
     d_values = np.asarray(d.value(times))
     traj = Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms, d,
                       d_values, "spectral", times[1] - times[0],
-                      extras={"coefficients": coeffs, "coupling": kappa / s,
-                              "eigenvalues": lam})
+                      extras={"coefficients": coeffs, "coupling": coupling[:N],
+                              "eigenvalues": spectrum.eigenvalues[:N]})
 
     final = traj.final_state
     mismatch = abs(problem.b1 * final.value_at_left()
@@ -390,105 +393,38 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
     return traj
 
 
-class LiftedForcing:
-    """Forcing d~(t) A(z) + d~'(t) B(z) induced by a lifting record.
-
-    This is the forcing protocol of :func:`simulate_forced_spectral`:
-    ``theta(t, n)`` gives the first n modal coefficients of the forcing at
-    the times ``t``, and ``theta_dot_convolution(lam, t0, t1)`` gives
-    integral_{t0}^{t1} e^{-lam (t1-s)} theta'(s) ds per mode.  A scalar time
-    (or interval) gives shape (n,); arrays of n_t times (or interval ends)
-    give (n_t, n).
-    """
-
-    def __init__(self, problem: SLProblem, spectrum: Spectrum, lifting: LiftingRecord):
-        w = simpson_weights(spectrum.grid.size)
-        rz = problem.r(spectrum.grid)
-        h = spectrum.grid[1] - spectrum.grid[0]
-        self.alpha = h * spectrum.eigenfunctions @ (w * rz * lifting.forcing_A)
-        self.beta = h * spectrum.eigenfunctions @ (w * rz * lifting.forcing_B)
-        self.signal = lifting.signal
-        self.scale = lifting.scale
-
-    def theta(self, t, n_modes: int) -> np.ndarray:
-        dv = self.signal.value(t)[..., None] / self.scale
-        dp = self.signal.derivative(t)[..., None] / self.scale
-        return self.alpha[:n_modes] * dv + self.beta[:n_modes] * dp
-
-    def theta_dot_convolution(self, lam: np.ndarray, t0, t1) -> np.ndarray:
-        """integral e^{-lam (t1-s)} theta'(s) ds via d' and d'' convolutions."""
-        conv_dp = self.signal.exp_convolution_derivative(lam, t0, t1) / self.scale
-        # integral e^{-lam(t1-s)} d''(s) ds by parts: d'(t1) - e^{-lam dt} d'(t0) - lam * conv_dp
-        t0, t1 = np.asarray(t0, dtype=float)[..., None], np.asarray(t1, dtype=float)[..., None]
-        dp1 = self.signal.derivative(t1) / self.scale
-        dp0 = self.signal.derivative(t0) / self.scale
-        conv_dpp = dp1 - np.exp(-lam * (t1 - t0)) * dp0 - lam * conv_dp
-        return self.alpha[:lam.size] * conv_dp + self.beta[:lam.size] * conv_dpp
-
-
-def simulate_forced_spectral(problem: SLProblem, spectrum: Spectrum, forcing,
-                             y0: GridFunction, T: float, N: int = 64,
-                             n_store: int = DEFAULT_STORE) -> Trajectory:
-    """Forced evolution with homogeneous boundary conditions.
-
-    Implements the integration-by-parts series: per mode and interval,
-    c(t1) = e^{-lam dt} c(t0) + (theta(t1) - e^{-lam dt} theta(t0))/lam
-            - lam^{-1} integral e^{-lam (t1-s)} theta'(s) ds.
-    ``forcing`` follows the protocol of :class:`LiftedForcing`; it is asked
-    once for theta at every stored time and once for the convolutions over
-    every stored interval.
-    """
-    _certify(problem, spectrum)
-    if N < 1 or N > spectrum.n_modes:
-        raise ValueError("need 1 <= N <= number of computed modes")
-    require_same_grid(y0, problem.grid)
-    times = _store_times(T, n_store)
-    bval = problem.b1 * y0.value_at_left() + problem.b2 * y0.derivative_at_left()
-    aval = problem.a1 * float(y0.values[-1]) + problem.a2 * y0.derivative_at_right()
-    scale = max(float(np.max(np.abs(y0.values))), 1.0)
-    if max(abs(bval), abs(aval)) > 1e-3 * scale:
-        raise IncompatibleInitialCondition(
-            "forced spectral route needs homogeneous boundary data "
-            f"(residuals {bval:.2e}, {aval:.2e})")
-
-    lam = spectrum.eigenvalues[:N]
-    decays = np.exp(-lam * np.diff(times)[:, None])
-    theta = forcing.theta(times, N)
-    theta_terms = (theta[1:] - decays * theta[:-1]) / lam
-    conv_terms = forcing.theta_dot_convolution(lam, times[:-1], times[1:]) / lam
-    coeffs = np.empty((times.size, N))
-    coeffs[0] = fourier_coefficients(y0, spectrum, problem)[:N]
-    for i in range(1, times.size):
-        coeffs[i] = decays[i - 1] * coeffs[i - 1] + theta_terms[i - 1] - conv_terms[i - 1]
-
-    norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
-    zero = DisturbanceSignal.constant(0.0)
-    return Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms,
-                      zero, np.zeros(times.size), "forced-spectral", times[1] - times[0],
-                      extras={"coefficients": coeffs, "eigenvalues": lam})
+def _lifted_coupling(problem: SLProblem, spectrum: Spectrum,
+                     lifting: LiftingRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling (<phi_n, A g>_r + lambda_n <phi_n, g>_r)/s of the lift and its
+    coefficients <phi_n, g>_r.  By Green's identity this is the boundary
+    coupling of :func:`simulate_spectral`, which drifts from it in high modes."""
+    g_coeffs = fourier_coefficients(lifting.g, spectrum, problem)
+    a_coeffs = fourier_coefficients(GridFunction(problem.grid, lifting.forcing_A),
+                                    spectrum, problem)
+    return (a_coeffs + spectrum.eigenvalues * g_coeffs) / lifting.scale, g_coeffs
 
 
 def simulate_via_lifting(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
                          x0: GridFunction, T: float, N: int = 64,
                          n_store: int = DEFAULT_STORE) -> Trajectory:
-    """Lift the boundary datum, solve the forced problem, add the lift back.
+    """Lift the boundary datum: x = y + (d/s) g, y with homogeneous boundary data.
 
-    This is the cross-route verification of the lifting construction: the
-    result approximates ``simulate_fd`` on the boundary-disturbed problem.
-    Incompatible initial data are projected with a warning, as there.
+    The kept modes of x follow :func:`_modal_run` with the lift's coupling,
+    and x = sum c_n phi_n + (d/s)(g - P_N g), P_N the projection onto the
+    first N modes.  This cross-checks ``simulate_fd`` on the same problem;
+    an incompatible initial state is projected with a warning, as there.
     """
-    lifting = lift_disturbance(problem, d)
-    d0 = float(d.value(np.asarray(0.0)))
-    x0 = _check_compatibility(problem, x0, d0, lifting)
-    y0 = GridFunction(problem.grid, x0.values - d0 / lifting.scale * lifting.g.values)
-    forcing = LiftedForcing(problem, spectrum, lifting)
-    y_traj = simulate_forced_spectral(problem, spectrum, forcing, y0, T, N, n_store)
-    d_values = np.asarray(d.value(y_traj.times))
-    values = y_traj.values + np.outer(d_values / lifting.scale, lifting.g.values)
+    lifting = lift_disturbance(problem)
+    x0 = _check_compatibility(problem, x0, float(d.value(np.asarray(0.0))), lifting)
+    coupling, g_coeffs = _lifted_coupling(problem, spectrum, lifting)
+    times, coeffs = _modal_run(problem, spectrum, d, x0, T, N, n_store, coupling)
+    phi = spectrum.eigenfunctions[:N]
+    d_values = np.asarray(d.value(times))
+    values = coeffs @ phi + np.outer(d_values / lifting.scale,
+                                     lifting.g.values - g_coeffs[:N] @ phi)
     norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
-    return Trajectory(y_traj.times, values, problem.grid, norms, d, d_values,
-                      "lifted-spectral", y_traj.dt,
-                      extras={"y_coefficients": y_traj.extras["coefficients"]})
+    return Trajectory(times, values, problem.grid, norms, d, d_values,
+                      "lifted-spectral", times[1] - times[0])
 
 
 # ---------------------------------------------------------------------------

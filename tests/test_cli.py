@@ -140,6 +140,20 @@ class TestGainCommand:
         out = capsys.readouterr().out
         assert "0.542666391318" in out
 
+    @pytest.mark.parametrize("args", [["--zeta", "1e6", "--a", "1"],
+                                      ["--zeta", "128", "--a", "inf"]])
+    def test_disagreeing_routes_exit_two(self, capsys, args):
+        # the series (N far below zeta/pi) and the 256-point BVP miss the closed form
+        assert main(["gain", "--case", "transport", *args]) == 2
+        captured = capsys.readouterr()
+        assert "max_disagreement," in captured.out
+        assert captured.err.startswith("numerical failure: gain routes disagree by ")
+
+    @pytest.mark.parametrize("command", [
+        "gain --case transport --zeta 1 --a inf", "gain --case backstepping --c 1 --D 1"])
+    def test_readme_gain_examples_exit_zero(self, command):
+        assert main(command.split()) == 0
+
     def test_inadmissible_exit_two(self):
         assert main(["gain", "--case", "transport", "--D", "1", "--v", "1",
                      "--k", "-0.3"]) == 2

@@ -14,9 +14,7 @@ from issgain import (
     CompatibilityWarning,
     DisturbanceSignal,
     GridFunction,
-    IncompatibleInitialCondition,
     IssEnvelope,
-    LiftedForcing,
     MissingEnvelopeParameters,
     NumericalFailure,
     StabilityWarning,
@@ -31,7 +29,6 @@ from issgain import (
     gain_bvp,
     lift_disturbance,
     simulate_fd,
-    simulate_forced_spectral,
     simulate_spectral,
     simulate_via_lifting,
     solve_spectrum,
@@ -40,37 +37,8 @@ from issgain import (
     verify_iss,
     weighted_norm,
 )
-from issgain.disturbances import _j_moments, _quadratic_exp_quadrature
+from issgain.disturbances import _j_moments
 from issgain.grids import simpson_weights
-
-
-class GenericForcing:
-    """Forcing given by callables f(t) -> values and f_t(t) -> values on the
-    grid, in the forcing protocol of ``simulate_forced_spectral``: a scalar
-    time gives (n_modes,) coefficients, an array of times (n_times, n_modes)."""
-
-    def __init__(self, problem, spectrum, f, f_t):
-        self._w = simpson_weights(spectrum.grid.size)
-        self._rz = problem.r(spectrum.grid)
-        self._h = spectrum.grid[1] - spectrum.grid[0]
-        self._phi = spectrum.eigenfunctions
-        self._f = f
-        self._f_t = f_t
-
-    def _project(self, fn, times, n_modes: int) -> np.ndarray:
-        """Coefficients on the first n_modes eigenfunctions of fn sampled at
-        each of ``times``, shaped ``times.shape + (n_modes,)``."""
-        times = np.asarray(times, dtype=float)
-        samples = [fn(float(s)) for s in times.ravel()]
-        weighted = np.asarray(samples, dtype=float) * (self._w * self._rz)
-        return (self._h * weighted @ self._phi[:n_modes].T).reshape(times.shape + (n_modes,))
-
-    def theta(self, t, n_modes: int) -> np.ndarray:
-        return self._project(self._f, t, n_modes)
-
-    def theta_dot_convolution(self, lam, t0, t1) -> np.ndarray:
-        return _quadratic_exp_quadrature(lambda times: self._project(self._f_t, times, lam.size),
-                                         lam, t0, t1)
 
 
 def scalar_exp_quadrature(fn, lam, t0, t1, n_sub=None):
@@ -191,6 +159,16 @@ FD_ORACLE_PROBLEMS = {
 }
 
 
+def batch_signals():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tabulated = DisturbanceSignal.tabulated(np.linspace(0.0, 4.0, 30),
+                                                np.cos(np.linspace(0.0, 4.0, 30)))
+    return [DisturbanceSignal.constant(0.7), DisturbanceSignal.sinusoid(1.3, 2.5, 0.3, 0.2),
+            DisturbanceSignal.sinusoid(1.3, 0.0, 0.3, 0.2),
+            DisturbanceSignal.smoothed_step(2.0, 0.8), tabulated]
+
+
 class TestDisturbanceSignal:
     @pytest.mark.parametrize("d", [
         DisturbanceSignal.constant(2.0),
@@ -212,6 +190,16 @@ class TestDisturbanceSignal:
             assert d.second_derivative(t) == pytest.approx(0.0, abs=1e-12)
         assert d.value(0.5) == pytest.approx(3.0)
         assert d.value(2.0) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("d", batch_signals(), ids=lambda d: d.kind)
+    def test_scalar_evaluation_matches_array(self, d):
+        # a 0-d time takes the array path: numpy rounds a scalar u ** 3 differently
+        t = np.random.default_rng(7).uniform(-0.2, 4.2, 2000)
+        for method in (d.value, d.derivative, d.second_derivative):
+            array = method(t)
+            assert np.array_equal(array, [method(x) for x in t])
+            assert np.array_equal(array.reshape(40, 50), method(t.reshape(40, 50)))
+            assert method(np.float64(t[0])).shape == ()
 
     def test_tabulated_warns(self):
         with pytest.warns(Warning):
@@ -281,8 +269,7 @@ class TestDisturbanceSignal:
             assert all(type(v) is float for v in scalars)
             assert np.allclose(vector, scalars, rtol=1e-14, atol=0.0)
 
-    def test_one_sample_call_per_interval_for_all_modes(self, monkeypatch, laplacian_problem,
-                                                        laplacian_spectrum):
+    def test_one_sample_call_per_interval_for_all_modes(self, monkeypatch):
         calls = []
         for name in ("value", "derivative"):
             original = getattr(DisturbanceSignal, name)
@@ -298,23 +285,6 @@ class TestDisturbanceSignal:
                 calls.clear()
                 method(np.linspace(1.0, 1e3, n_modes), 0.1, 0.3)
                 assert 1 <= len(calls) <= 2
-        # a generic forcing samples its scalar-time f_t once per quadrature time
-        samples = []
-        forcing = GenericForcing(laplacian_problem, laplacian_spectrum, lambda t: None,
-                                 lambda t: samples.append(t) or np.zeros(257))
-        conv = forcing.theta_dot_convolution(laplacian_spectrum.eigenvalues, 0.1, 0.3)
-        assert conv.shape == (12,)
-        assert len(samples) == 2 * 16 + 1
-
-
-def batch_signals():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tabulated = DisturbanceSignal.tabulated(np.linspace(0.0, 4.0, 30),
-                                                np.cos(np.linspace(0.0, 4.0, 30)))
-    return [DisturbanceSignal.constant(0.7), DisturbanceSignal.sinusoid(1.3, 2.5, 0.3, 0.2),
-            DisturbanceSignal.sinusoid(1.3, 0.0, 0.3, 0.2),
-            DisturbanceSignal.smoothed_step(2.0, 0.8), tabulated]
 
 
 class TestBatchedIntervals:
@@ -371,24 +341,8 @@ class TestBatchedIntervals:
                 traj = route(transport_case_problem, transport_case_spectrum, d, x0, 2.0,
                              N=16, n_store=n_store)
             assert traj.times.size == n_store + 1
-            assert len(calls) == 1
-
-    def test_lifted_forcing_theta_batch(self, transport_case_problem,
-                                        transport_case_spectrum):
-        d = DisturbanceSignal.smoothed_step(1.0, 0.5)
-        forcing = LiftedForcing(transport_case_problem, transport_case_spectrum,
-                                lift_disturbance(transport_case_problem, d))
-        times = np.linspace(0.0, 1.0, 9)
-        lam = transport_case_spectrum.eigenvalues[:10]
-        theta = forcing.theta(times, 10)
-        conv = forcing.theta_dot_convolution(lam, times[:-1], times[1:])
-        assert theta.shape == (9, 10) and conv.shape == (8, 10)
-        for i, t in enumerate(times):
-            assert np.array_equal(theta[i], forcing.theta(float(t), 10))
-        for i in range(8):
-            assert np.array_equal(conv[i], forcing.theta_dot_convolution(
-                lam, float(times[i]), float(times[i + 1])))
-
+            # the lifted route convolves d itself, not d' through the lift
+            assert calls == ["exp_convolution"]
 
 class TestSimulateFd:
     def test_single_mode_decay(self, laplacian_problem, laplacian_spectrum):
@@ -649,7 +603,7 @@ class TestSimulateSpectral:
 
 class TestLifting:
     def test_dirichlet_minimum_norm_cubic(self, laplacian_problem):
-        rec = lift_disturbance(laplacian_problem, DisturbanceSignal.constant(1.0))
+        rec = lift_disturbance(laplacian_problem)
         b1n, b2n, c1, c2 = rec.coeffs
         assert (b1n, b2n) == (1.0, 0.0)
         assert c1 == pytest.approx(-0.5, abs=1e-14)
@@ -660,82 +614,56 @@ class TestLifting:
     def test_lift_boundary_identities(self):
         # g satisfies b1 g(0) + b2 g'(0) = s and a1 g(1) + a2 g'(1) = 0
         prob = build_problem(1.0, 0.3, 1.0, 0.7, -1.2, 2.0, 1.0, 128)
-        rec = lift_disturbance(prob, DisturbanceSignal.constant(1.0))
+        rec = lift_disturbance(prob)
         b1n, b2n, c1, c2 = rec.coeffs
         g0, gp0 = rec.g.values[0], rec.g.deriv_left
         g1, gp1 = rec.g.values[-1], rec.g.deriv_right
         assert b1n * g0 + b2n * gp0 == pytest.approx(1.0, abs=1e-12)
         assert prob.a1 * g1 + prob.a2 * gp1 == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_disturbance_forcing_vanishes(self, laplacian_problem, laplacian_spectrum):
-        rec = lift_disturbance(laplacian_problem, DisturbanceSignal.constant(0.0))
-        forcing = LiftedForcing(laplacian_problem, laplacian_spectrum, rec)
-        assert np.max(np.abs(forcing.theta(0.7, 12))) == 0.0
-        assert np.max(np.abs(rec.lift_values(0.7))) == 0.0
+    @pytest.mark.parametrize("problem", [
+        transport_problem(1.0, 1.0, 0.0, math.inf, resolution=256),
+        transport_problem(1.0, 1.0, 0.0, 1.0, resolution=256),
+        build_problem(1, 1, 1, 1, 0, 1, -1, 256)], ids=["tube-a-inf", "tube-a-1", "robin-inlet"])
+    def test_lifted_coupling_matches_boundary_coupling(self, problem):
+        # Green's identity: (<phi, A g> + lam <phi, g>)/s is the boundary coupling
+        # kappa/s of the spectral route, up to quadrature error in the low modes
+        spectrum = solve_spectrum(problem, 12)
+        d = DisturbanceSignal.constant(1.0)
+        lifted, _ = pde_sim._lifted_coupling(problem, spectrum, lift_disturbance(problem))
+        x0 = GridFunction(problem.grid, np.zeros_like(problem.grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            kappa = simulate_spectral(problem, spectrum, d, x0, 0.1, N=8,
+                                      n_store=2).extras["coupling"]
+        assert np.max(np.abs(lifted[:8] - kappa) / np.abs(kappa)) < 1e-5
 
 
 class TestForcedSpectral:
-    def test_zero_forcing_matches_homogeneous(self, laplacian_problem, laplacian_spectrum):
-        y0 = laplacian_spectrum.phi(1)
-        zero = GenericForcing(laplacian_problem, laplacian_spectrum,
-                              lambda t: np.zeros(257), lambda t: np.zeros(257))
-        traj = simulate_forced_spectral(laplacian_problem, laplacian_spectrum, zero, y0,
-                                        0.3, N=12, n_store=8)
-        lam1 = laplacian_spectrum.eigenvalues[0]
-        assert np.allclose(traj.norms, np.exp(-lam1 * traj.times), atol=1e-10)
-
-    def test_constant_mode_forcing(self, laplacian_problem, laplacian_spectrum):
-        # oracle: c_1' = 1 - lambda_1 c_1, c_1(0) = 0 => (1 - e^{-lambda_1 t})/lambda_1
-        phi1 = laplacian_spectrum.eigenfunctions[0]
-        forcing = GenericForcing(laplacian_problem, laplacian_spectrum,
-                                 lambda t: phi1, lambda t: np.zeros_like(phi1))
-        y0 = GridFunction(laplacian_problem.grid, np.zeros_like(laplacian_problem.grid))
-        traj = simulate_forced_spectral(laplacian_problem, laplacian_spectrum, forcing, y0,
-                                        0.4, N=12, n_store=10)
-        lam1 = laplacian_spectrum.eigenvalues[0]
-        c = traj.extras["coefficients"]
-        expected = (1 - np.exp(-lam1 * traj.times)) / lam1
-        assert np.max(np.abs(c[:, 0] - expected)) < 1e-10
-        assert np.max(np.abs(c[:, 1:])) < 1e-10
-
-    def test_inhomogeneous_initial_state_rejected(self, laplacian_problem, laplacian_spectrum):
-        y0 = GridFunction(laplacian_problem.grid, 1 - laplacian_problem.grid)
-        zero = GenericForcing(laplacian_problem, laplacian_spectrum,
-                              lambda t: np.zeros(257), lambda t: np.zeros(257))
-        with pytest.raises(IncompatibleInitialCondition):
-            simulate_forced_spectral(laplacian_problem, laplacian_spectrum, zero, y0,
-                                     0.1, N=12)
-
     def test_time_varying_forcing_against_modal_oracle(self, laplacian_problem,
                                                        laplacian_spectrum):
-        # forcing sin(t) phi_1 + cos(2t) phi_2: per-mode oracle is the exact
-        # convolution integral of the scalar linear ODEs
-        phi1 = laplacian_spectrum.eigenfunctions[0]
-        phi2 = laplacian_spectrum.eigenfunctions[1]
-        lam = laplacian_spectrum.eigenvalues
+        # d = 0.3 + 1.2 sin(2.5 t + 0.4) through the boundary coupling: each mode is
+        # the exact solution of c' = -lam c + coupling d, c(0) the projection of x0
+        d = DisturbanceSignal.sinusoid(1.2, 2.5, 0.4, 0.3)
+        x0 = laplacian_spectrum.phi(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            traj = simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 0.8,
+                                     N=12, n_store=16)
+        c, coupling = traj.extras["coefficients"], traj.extras["coupling"]
 
-        forcing = GenericForcing(
-            laplacian_problem, laplacian_spectrum,
-            lambda t: math.sin(t) * phi1 + math.cos(2 * t) * phi2,
-            lambda t: math.cos(t) * phi1 - 2 * math.sin(2 * t) * phi2)
-        y0 = GridFunction(laplacian_problem.grid, np.zeros_like(laplacian_problem.grid))
-        traj = simulate_forced_spectral(laplacian_problem, laplacian_spectrum, forcing,
-                                        y0, 0.8, N=12, n_store=16)
-        c = traj.extras["coefficients"]
-
-        def conv_sin(lam_n, om, phase, t):
-            # integral_0^t e^{-lam (t-s)} sin(om s + phase) ds
-            den = lam_n ** 2 + om ** 2
-            val = (lam_n * math.sin(om * t + phase) - om * math.cos(om * t + phase))
-            val0 = (lam_n * math.sin(phase) - om * math.cos(phase))
-            return (val - math.exp(-lam_n * t) * val0) / den
+        def conv_d(lam_n, t):
+            # integral_0^t e^{-lam (t-s)} d(s) ds
+            om, ph = 2.5, 0.4
+            val = lam_n * math.sin(om * t + ph) - om * math.cos(om * t + ph)
+            val0 = lam_n * math.sin(ph) - om * math.cos(ph)
+            return (0.3 * -math.expm1(-lam_n * t) / lam_n
+                    + 1.2 * (val - math.exp(-lam_n * t) * val0) / (lam_n ** 2 + om ** 2))
 
         for i, t in enumerate(traj.times):
-            assert c[i, 0] == pytest.approx(conv_sin(lam[0], 1.0, 0.0, float(t)),
-                                            abs=5e-9)
-            assert c[i, 1] == pytest.approx(conv_sin(lam[1], 2.0, math.pi / 2, float(t)),
-                                            abs=5e-9)
-            assert np.max(np.abs(c[i, 2:])) < 1e-9
+            for n, lam_n in enumerate(traj.extras["eigenvalues"]):
+                exact = math.exp(-lam_n * t) * c[0, n] + coupling[n] * conv_d(lam_n, float(t))
+                assert c[i, n] == pytest.approx(exact, rel=1e-12, abs=1e-13)
 
     def test_lifted_route_matches_fd(self, transport_case_problem, transport_case_spectrum):
         d = DisturbanceSignal.sinusoid(1.0, 2.0)
@@ -760,6 +688,19 @@ class TestForcedSpectral:
         diff = GridFunction(problem.grid,
                             lifted.final_state.values - fd.final_state.values)
         assert weighted_norm(diff, problem) < 2e-5
+
+    def test_lifted_route_matches_fd_exit_incompatible_state(self):
+        # sin(pi z) misses the Robin exit condition x(1) + x'(1) = 0; like fd, the
+        # modal route takes it as an L2 initial state
+        problem = transport_problem(1.0, 1.0, 0.0, 1.0, resolution=256)
+        spectrum = solve_spectrum(problem, 32)
+        d = DisturbanceSignal.sinusoid(1.0, 2.0)
+        x0 = GridFunction(problem.grid, np.sin(math.pi * problem.grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CompatibilityWarning)
+            lifted = simulate_via_lifting(problem, spectrum, d, x0, 0.5, N=32, n_store=8)
+            fd = simulate_fd(problem, d, x0, 2.5e-4, 0.5, n_store=8)
+        assert np.max(np.abs(lifted.norms - fd.norms) / fd.norms) < 1e-5
 
     def test_lifted_route_matches_fd_robin_inlet(self):
         # mixed inlet condition x(0) - x'(0) = d: exercises the normalized

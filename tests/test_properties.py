@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from issgain import (
-    DisturbanceSignal,
     GridFunction,
     TransportCase,
     advection_gain,
@@ -79,7 +78,7 @@ def test_lifting_cubic_boundary_identities(a1, a2, b1, b2):
     if abs(a1) + abs(a2) < 1e-3 or abs(b1) + abs(b2) < 1e-3:
         return
     prob = build_problem(1.0, 0.0, 1.0, a1, a2, b1, b2, 64)
-    rec = lift_disturbance(prob, DisturbanceSignal.constant(1.0))
+    rec = lift_disturbance(prob)
     b1n, b2n, c1, c2 = rec.coeffs
     g0, gp0 = rec.g.values[0], rec.g.deriv_left
     g1, gp1 = rec.g.values[-1], rec.g.deriv_right
