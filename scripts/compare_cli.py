@@ -34,6 +34,7 @@ BAD = [("a", "nan"), ("D", "nan"), ("resolution", "nan"), ("resolution", "inf"),
 CONFIGS = {"x.cfg": _config(TRANSPORT), "negq.cfg": _config(CONSTANT),
            "y.cfg": _config(TRANSPORT, v="2", k="0.3", a="1", form="y"),
            "robin.cfg": _config(CONSTANT, q="0.5", r="1", a2="0", b1="2", b2="1"),
+           "robin-inlet.cfg": _config(CONSTANT, q="1", r="1", a2="0", b2="-1"),
            **{f"bad_{k}_{i}.cfg": _config(TRANSPORT, **{k: v}) for i, (k, v) in enumerate(BAD)}}
 
 ISS = "--verify-iss --iss-output iss.csv"
@@ -63,7 +64,8 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             f"advection --disturbance sinusoid {ISS}",
             "closed-loop --resolution 32 --output cl.csv", f"closed-loop --resolution 64 {ISS}",
             "closed-loop --resolution 200 --disturbance smoothed-step --output cl.csv",
-            "closed-loop --plant-p 50 --c 2 --output cl.csv"]
+            "closed-loop --plant-p 50 --c 2 --output cl.csv",
+            "spectral", "spectral --config ../robin.cfg", "spectral --config ../robin-inlet.cfg"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"simulate --solver {a}" for a in SIMULATE])
 

@@ -7,7 +7,6 @@ checks the exponential-plus-gain envelope for several epsilon values and
 writes trajectory/report CSVs.
 """
 import math
-import warnings
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from issgain import (
     DisturbanceSignal,
     GridFunction,
     IssEnvelope,
-    TruncationWarning,
     gain_bvp,
     simulate_fd,
     simulate_spectral,
@@ -41,9 +39,7 @@ def main():
     for name, (d, x0_vals) in cases.items():
         x0 = GridFunction(grid, x0_vals)
         fd = simulate_fd(problem, d, x0, 5e-4, 1.5, n_store=120)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            sp = simulate_spectral(problem, spectrum, d, x0, 1.5, N=32, n_store=120)
+        sp = simulate_spectral(problem, spectrum, d, x0, 1.5, N=32, n_store=120)
         for solver, traj in (("fd", fd), ("spectral", sp)):
             write_csv(trajectory_header(traj), trajectory_rows(traj),
                       f"trajectory_{name}_{solver}.csv")

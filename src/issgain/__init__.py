@@ -44,7 +44,6 @@ from .errors import (
     SingularBVP,
     SmoothnessWarning,
     StabilityWarning,
-    TruncationWarning,
     UncertifiedHypothesis,
 )
 from .gains import (

@@ -54,10 +54,6 @@ class StabilityWarning(UserWarning):
     """Time step too coarse for the disturbance frequency (accuracy, not stability)."""
 
 
-class TruncationWarning(UserWarning):
-    """Spectral reconstruction misses the boundary value by more than tolerance."""
-
-
 class CompatibilityWarning(UserWarning):
     """Initial state was projected (or accepted) despite boundary incompatibility."""
 

@@ -306,7 +306,7 @@ def _certify(problem: SLProblem, spectrum: Spectrum):
 
 
 def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
-                epsilon: float = 1.0, require_certified: bool = True) -> GainReport:
+                epsilon: float = 1.0) -> GainReport:
     """Series route: partial sum of p(0)^2 lambda_n^{-2}|b1 phi'(0)-b2 phi(0)|^2.
 
     ``gain_C`` is the square root of the certified partial sum;
@@ -318,8 +318,7 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
     """
     if N < 0 or N > spectrum.n_modes:
         raise ValueError("need 0 <= N <= number of computed modes")
-    if require_certified:
-        _certify(problem, spectrum)
+    _certify(problem, spectrum)
     s = problem.boundary_norm
     b1n, b2n = problem.b1 / s, problem.b2 / s
     p0 = float(problem.p(np.zeros(1))[0])

@@ -6,14 +6,11 @@ Three routes to the same solution:
                              entering through the scheme average (half-step).
 * ``simulate_spectral``    - exact exponential integration of the modal
                              dynamics c_n' = -lambda_n c_n + coupling_n d(t),
-                             with the boundary coupling
-                             p(0)(b1 phi_n'(0) - b2 phi_n(0))/s^2.
-* ``simulate_via_lifting`` - the same modal recurrence with the coupling of
-                             a cubic lift g (Green's identity), reconstructed
-                             as sum c_n phi_n + (d/s)(g - P_N g).
+                             lifted by the steady state.
+* ``simulate_via_lifting`` - the same modal run, lifted by a cubic.
 
-Both modal routes take the exponential convolutions of all stored intervals
-in one call; only the coefficient recurrence runs interval by interval.
+Both modal routes are ``_lifted_modal`` with their lift; it takes the
+exponential convolutions of all stored intervals in one call.
 
 ``advection_exact`` evaluates the method-of-characteristics solution of the
 pure advection equation, and ``verify_iss`` checks exponential-plus-gain
@@ -35,7 +32,6 @@ from .errors import (
     MissingEnvelopeParameters,
     NumericalFailure,
     StabilityWarning,
-    TruncationWarning,
 )
 from .gains import GainReport, _certify
 from .grids import GridFunction, require_same_grid, simpson_weights, uniform_grid
@@ -44,6 +40,7 @@ from .sturm_liouville import (
     Spectrum,
     _assemble,
     fourier_coefficients,
+    solve_steady_bvp,
 )
 
 DEFAULT_STORE = 160
@@ -224,22 +221,23 @@ def _store_times(T: float, n_store: int) -> np.ndarray:
     return np.linspace(0.0, T, max(2, n_store) + 1)
 
 
-def _check_compatibility(problem: SLProblem, x0: GridFunction, d0: float,
-                         lifting: LiftingRecord):
+def _check_compatibility(problem: SLProblem, x0: GridFunction, d: DisturbanceSignal,
+                         stacklevel: int = 3):
     """Project x0 onto the compatible affine set when the inlet datum is off.
 
     Sub-threshold gaps (discretisation-level, e.g. a numerically computed
     steady state) are corrected silently; larger gaps are corrected loudly.
     """
-    bval = problem.b1 * x0.value_at_left() + problem.b2 * x0.derivative_at_left()
-    gap = d0 - bval
+    d0 = float(d.value(np.asarray(0.0)))
+    gap = d0 - (problem.b1 * x0.value_at_left() + problem.b2 * x0.derivative_at_left())
     scale = max(abs(d0), float(np.max(np.abs(x0.values))), 1.0)
     if gap == 0.0:
         return x0
     if abs(gap) > 1e-5 * scale:
         warnings.warn(
             f"initial state misses the inlet datum by {gap:.3e}; "
-            "projecting along the lifting cubic", CompatibilityWarning, stacklevel=3)
+            "projecting along the lifting cubic", CompatibilityWarning, stacklevel=stacklevel)
+    lifting = lift_disturbance(problem)
     corrected = x0.values + gap / lifting.scale * lifting.g.values
     return GridFunction(x0.grid, corrected)
 
@@ -308,8 +306,7 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
     if d.kind == "sinusoid" and d.frequency * dt > 0.5:
         warnings.warn("time step is coarse for the disturbance frequency "
                       f"(omega*dt = {d.frequency * dt:.2f})", StabilityWarning, stacklevel=2)
-    lifting = lift_disturbance(problem)
-    x0 = _check_compatibility(problem, x0, float(d.value(np.asarray(0.0))), lifting)
+    x0 = _check_compatibility(problem, x0, d)
 
     sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
     times_all = dt_run * np.arange(n_steps + 1)
@@ -342,7 +339,6 @@ def _modal_run(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
     e^{-lambda (t_i - s)} d(s) ds.  One ``exp_convolution`` call gives the
     convolutions over all stored intervals; only the recurrence is a loop.
     """
-    _certify(problem, spectrum)
     if N < 1 or N > spectrum.n_modes:
         raise ValueError("need 1 <= N <= number of computed modes")
     require_same_grid(x0, problem.grid)
@@ -357,74 +353,55 @@ def _modal_run(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
     return times, coeffs
 
 
-def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
-                      x0: GridFunction, T: float, N: int = 64,
-                      n_store: int = DEFAULT_STORE) -> Trajectory:
-    """Exponential-integrator evolution of the first N generalized Fourier modes.
+def _lifted_modal(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
+                  x0: GridFunction, T: float, N: int, n_store: int,
+                  g: np.ndarray, image: np.ndarray, method: str) -> Trajectory:
+    """Modal run of x = y + (d/s) g for a lift g with datum s and image A g.
 
-    The boundary coupling of mode n is p(0)(b1 phi_n'(0) - b2 phi_n(0))/s^2,
-    s = sqrt(b1^2+b2^2), and :func:`_modal_run` integrates the modes, exactly
-    for constant and sinusoidal disturbances.  Norms come from the Parseval
-    sum of the coefficients; reconstruction at the inlet misses the boundary
-    value (the expansion converges in the weighted L2 norm only), which is
-    reported as a TruncationWarning.
+    Mode n couples to d through Green's identity, (<phi_n, A g>_r +
+    lambda_n <phi_n, g>_r)/s, and x = sum c_n phi_n + (d/s)(g - P_N g), P_N
+    the projection onto the first N modes.  An incompatible x0 is projected
+    along the cubic, as in ``simulate_fd``.
     """
+    x0 = _check_compatibility(problem, x0, d, stacklevel=4)    # warn at the route's caller
     s = problem.boundary_norm
-    b1n, b2n = problem.b1 / s, problem.b2 / s
-    p0 = float(problem.p(np.zeros(1))[0])
-    coupling = p0 * (b1n * spectrum.derivatives_at_0 - b2n * spectrum.values_at_0) / s
+    g_coeffs = fourier_coefficients(GridFunction(problem.grid, g), spectrum, problem)
+    a_coeffs = fourier_coefficients(GridFunction(problem.grid, image), spectrum, problem)
+    coupling = (a_coeffs + spectrum.eigenvalues * g_coeffs) / s
     times, coeffs = _modal_run(problem, spectrum, d, x0, T, N, n_store, coupling)
-
-    norms = np.sqrt(np.sum(coeffs ** 2, axis=1))
+    phi = spectrum.eigenfunctions[:N]
     d_values = np.asarray(d.value(times))
-    traj = Trajectory(times, coeffs @ spectrum.eigenfunctions[:N], spectrum.grid, norms, d,
-                      d_values, "spectral", times[1] - times[0],
+    values = coeffs @ phi + np.outer(d_values / s, g - g_coeffs[:N] @ phi)
+    norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
+    return Trajectory(times, values, problem.grid, norms, d, d_values, method,
+                      times[1] - times[0],
                       extras={"coefficients": coeffs, "coupling": coupling[:N],
                               "eigenvalues": spectrum.eigenvalues[:N]})
 
-    final = traj.final_state
-    mismatch = abs(problem.b1 * final.value_at_left()
-                   + problem.b2 * final.derivative_at_left() - d_values[-1])
-    if mismatch > 0.05 * max(np.max(np.abs(d_values)), 1e-12):
-        warnings.warn(
-            f"reconstruction misses the inlet value by {mismatch:.3e} "
-            "(expected: the expansion converges in the weighted L2 norm only)",
-            TruncationWarning, stacklevel=2)
-    return traj
 
-
-def _lifted_coupling(problem: SLProblem, spectrum: Spectrum,
-                     lifting: LiftingRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Coupling (<phi_n, A g>_r + lambda_n <phi_n, g>_r)/s of the lift and its
-    coefficients <phi_n, g>_r.  By Green's identity this is the boundary
-    coupling of :func:`simulate_spectral`, which drifts from it in high modes."""
-    g_coeffs = fourier_coefficients(lifting.g, spectrum, problem)
-    a_coeffs = fourier_coefficients(GridFunction(problem.grid, lifting.forcing_A),
-                                    spectrum, problem)
-    return (a_coeffs + spectrum.eigenvalues * g_coeffs) / lifting.scale, g_coeffs
+def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
+                      x0: GridFunction, T: float, N: int = 64,
+                      n_store: int = DEFAULT_STORE) -> Trajectory:
+    """Exponential integration of the first N generalized Fourier modes (exact for
+    constant and sinusoidal d), lifted by the steady state x~ of datum s: A x~ = 0,
+    so mode n couples through lambda_n <phi_n, x~>_r/s, and adding back (d/s)(x~ -
+    P_N x~), the quasi-static part the kept modes miss (mode acceleration), makes x
+    meet the inlet datum."""
+    _certify(problem, spectrum)
+    steady = solve_steady_bvp(problem, problem.boundary_norm).values
+    return _lifted_modal(problem, spectrum, d, x0, T, N, n_store, steady,
+                         np.zeros_like(steady), "spectral")
 
 
 def simulate_via_lifting(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
                          x0: GridFunction, T: float, N: int = 64,
                          n_store: int = DEFAULT_STORE) -> Trajectory:
-    """Lift the boundary datum: x = y + (d/s) g, y with homogeneous boundary data.
-
-    The kept modes of x follow :func:`_modal_run` with the lift's coupling,
-    and x = sum c_n phi_n + (d/s)(g - P_N g), P_N the projection onto the
-    first N modes.  This cross-checks ``simulate_fd`` on the same problem;
-    an incompatible initial state is projected with a warning, as there.
-    """
+    """The modal run of :func:`simulate_spectral`, lifted instead by the cubic g
+    of :func:`lift_disturbance` (A g is not 0); a cross-check of ``simulate_fd``."""
+    _certify(problem, spectrum)
     lifting = lift_disturbance(problem)
-    x0 = _check_compatibility(problem, x0, float(d.value(np.asarray(0.0))), lifting)
-    coupling, g_coeffs = _lifted_coupling(problem, spectrum, lifting)
-    times, coeffs = _modal_run(problem, spectrum, d, x0, T, N, n_store, coupling)
-    phi = spectrum.eigenfunctions[:N]
-    d_values = np.asarray(d.value(times))
-    values = coeffs @ phi + np.outer(d_values / lifting.scale,
-                                     lifting.g.values - g_coeffs[:N] @ phi)
-    norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
-    return Trajectory(times, values, problem.grid, norms, d, d_values,
-                      "lifted-spectral", times[1] - times[0])
+    return _lifted_modal(problem, spectrum, d, x0, T, N, n_store, lifting.g.values,
+                         lifting.forcing_A, "lifted-spectral")
 
 
 # ---------------------------------------------------------------------------

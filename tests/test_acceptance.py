@@ -16,7 +16,6 @@ Criterion 8 checks the figure-style gain comparison ``sweep_figure1``:
 """
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from issgain import (
     GridFunction,
     IssEnvelope,
     TransportCase,
-    TruncationWarning,
     advection_exact,
     advection_gain,
     analytic_transport_spectrum,
@@ -130,10 +128,8 @@ def test_criterion_5_iss_envelope(transport_case_problem, transport_case_spectru
             ("sinusoid", DisturbanceSignal.sinusoid(1.0, 2.0), np.zeros_like(grid))):
         x0 = GridFunction(grid, x0_vals)
         fd = simulate_fd(problem, d, x0, 5e-4, 1.5, n_store=120)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            sp = simulate_spectral(problem, transport_case_spectrum, d, x0, 1.5,
-                                   N=32, n_store=120)
+        sp = simulate_spectral(problem, transport_case_spectrum, d, x0, 1.5,
+                               N=32, n_store=120)
         for method, traj in (("fd", fd), ("spectral", sp)):
             report = verify_iss(traj, envelope, epsilons=eps, slack=1e-3)
             runs.append((label, method, report.passed, report.worst_relative_violation))

@@ -16,7 +16,7 @@ import issgain.config
 import issgain.gains
 from issgain import Coefficient, DisturbanceSignal, GridFunction, advection_exact
 from issgain.cli import main
-from issgain.errors import CompatibilityWarning, SmoothnessWarning, TruncationWarning
+from issgain.errors import CompatibilityWarning, SmoothnessWarning
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -503,13 +503,13 @@ def test_warnings_print_as_package_messages(tmp_path):
     assert proc.returncode == 0
     lines = proc.stderr.splitlines()
     assert lines and all(line.startswith("warning: ") for line in lines)
-    assert "warning: TruncationWarning: reconstruction misses the inlet value" in proc.stderr
+    assert "warning: CompatibilityWarning: initial state misses the inlet datum" in proc.stderr
     assert ".py:" not in proc.stderr
 
 
 def test_main_keeps_warnings_recordable_and_restores_format(tmp_path):
     before = warnings.formatwarning
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(CompatibilityWarning):
         assert main(["simulate", "--solver", "spectral",
                      "--output", str(tmp_path / "t.csv")]) == 0
     assert warnings.formatwarning is before

@@ -17,10 +17,10 @@ from issgain import (
     IssEnvelope,
     MissingEnvelopeParameters,
     NumericalFailure,
+    SingularBVP,
     StabilityWarning,
     Trajectory,
     TransportCase,
-    TruncationWarning,
     UncertifiedHypothesis,
     advection_exact,
     advection_gain,
@@ -397,9 +397,7 @@ class TestSimulateFd:
         spec = analytic_transport_spectrum(TransportCase(1.0, 0.0, 0.0, math.inf), 600, 2048)
         prob_ref = build_problem(1.0, 0.0, 1.0, 1, 0, 1, 0, 2048)
         x0_ref = GridFunction(prob_ref.grid, np.zeros(2049))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            ref = simulate_spectral(prob_ref, spec, d, x0_ref, T, N=600, n_store=4)
+        ref = simulate_spectral(prob_ref, spec, d, x0_ref, T, N=600, n_store=4)
         ref_vals = ref.final_state.values
         errs = []
         for m, dt in ((64, 4e-3), (128, 2e-3)):
@@ -525,14 +523,30 @@ class TestCrankNicolsonLoop:
         assert np.array_equal(open_loop[1], inlet[store_at])
 
 
+def transport_tube(zeta, a):
+    return transport_problem(1.0, 2.0 * zeta, 0.0, a, resolution=256)
+
+
+SPECTRAL_VS_FD = {
+    "tube-4-inf-step": (lambda: transport_tube(4.0, math.inf),
+                        DisturbanceSignal.smoothed_step(1.0, 1.0)),
+    "tube-0.5-1-step": (lambda: transport_tube(0.5, 1.0), DisturbanceSignal.smoothed_step(1.0, 1.0)),
+    "tube-1-inf-sinusoid": (lambda: transport_tube(1.0, math.inf),
+                            DisturbanceSignal.sinusoid(1.0, 2.0)),
+    "tube-2-0-sinusoid": (lambda: transport_tube(2.0, 0.0), DisturbanceSignal.sinusoid(1.0, 2.0)),
+    "robin-inlet-sinusoid": (lambda: build_problem(1, 1, 1, 1, 0, 1, -1, 256),
+                             DisturbanceSignal.sinusoid(1.0, 2.0)),
+    "laplacian-constant-x0-zero": (lambda: build_problem(1.0, 0.0, 1.0, 1, 0, 1, 0, 256),
+                                   DisturbanceSignal.constant(1.0)),
+}
+
+
 class TestSimulateSpectral:
     def test_steady_coefficient(self, laplacian_problem, laplacian_spectrum):
         # steady coefficient of the unit-datum profile: p(0) phi_1'(0)/lambda_1
         d = DisturbanceSignal.constant(1.0)
         x0 = GridFunction(laplacian_problem.grid, 1 - laplacian_problem.grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            traj = simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 2.0, N=12)
+        traj = simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 2.0, N=12)
         c1 = traj.extras["coefficients"][-1, 0]
         assert c1 == pytest.approx(math.sqrt(2) / math.pi, abs=1e-7)
 
@@ -562,23 +576,42 @@ class TestSimulateSpectral:
             assert np.all(np.abs(c[i]) <= bound + 1e-12)
 
     def test_norms_match_states(self, laplacian_problem, laplacian_spectrum):
-        # Parseval of the truncated sum: the stored norms equal the weighted
-        # norms of the reconstructed states up to quadrature accuracy
+        # the stored norms are the weighted norms of the reconstructed states
         d = DisturbanceSignal.sinusoid(1.0, 2.0)
         x0 = GridFunction(laplacian_problem.grid, np.zeros_like(laplacian_problem.grid))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            traj = simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 0.5,
-                                     N=12, n_store=10)
+        traj = simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 0.5,
+                                 N=12, n_store=10)
         for i in range(traj.times.size):
             assert weighted_norm(traj.states[i], laplacian_problem) == \
                 pytest.approx(traj.norms[i], abs=1e-8)
 
-    def test_truncation_warning(self, laplacian_problem, laplacian_spectrum):
-        d = DisturbanceSignal.constant(1.0)
-        x0 = GridFunction(laplacian_problem.grid, 1 - laplacian_problem.grid)
-        with pytest.warns(TruncationWarning):
-            simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 1.0, N=12)
+    @pytest.mark.parametrize("name", sorted(SPECTRAL_VS_FD))
+    def test_matches_fd(self, name):
+        # the steady-state lift adds back the quasi-static part the kept modes
+        # drop, so 32 modes follow CN on the same grid; x0 = 0 misses d(0) = 1
+        # in the last case and both routes project it
+        make_problem, d = SPECTRAL_VS_FD[name]
+        problem = make_problem()
+        x0 = GridFunction(problem.grid, np.zeros_like(problem.grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CompatibilityWarning)
+            spectral = simulate_spectral(problem, solve_spectrum(problem, 32), d, x0, 2.0,
+                                         N=32, n_store=40)
+            fd = simulate_fd(problem, d, x0, 1e-3, 2.0, n_store=40)
+        assert np.max(np.abs(spectral.norms - fd.norms)) < 1e-4 * np.max(fd.norms)
+
+    @pytest.mark.parametrize("problem, tol", [
+        (transport_problem(1.0, 2.0, 0.0, 1.0, resolution=256), 1e-12),
+        (build_problem(1, 1, 1, 1, 0, 1, -1, 256), 1e-5)], ids=["dirichlet", "robin"])
+    def test_states_meet_inlet_datum(self, problem, tol):
+        d = DisturbanceSignal.sinusoid(1.5, 3.0, 0.2, 0.4)
+        x0 = GridFunction(problem.grid, np.zeros_like(problem.grid))
+        with pytest.warns(CompatibilityWarning):
+            traj = simulate_spectral(problem, solve_spectrum(problem, 32), d, x0, 1.0,
+                                     N=32, n_store=20)
+        datum = [problem.b1 * state.value_at_left() + problem.b2 * state.derivative_at_left()
+                 for state in traj.states]
+        assert np.max(np.abs(np.array(datum) - traj.d_values)) < tol
 
     def test_uncertified_raises(self):
         prob = build_problem(1.0, -20.0, 1.0, 1, 0, 1, 0, 256)
@@ -586,6 +619,18 @@ class TestSimulateSpectral:
         x0 = GridFunction(prob.grid, np.zeros_like(prob.grid))
         with pytest.raises(UncertifiedHypothesis):
             simulate_spectral(prob, spec, DisturbanceSignal.constant(0.0), x0, 1.0, N=10)
+
+    def test_certifies_before_steady_solve(self, monkeypatch):
+        # an uncertified problem fails as uncertified (exit 1), never as a singular BVP
+        def singular(*args, **kwargs):
+            raise SingularBVP("steady BVP matrix is singular")
+
+        monkeypatch.setattr(pde_sim, "solve_steady_bvp", singular)
+        prob = build_problem(1.0, -20.0, 1.0, 1, 0, 1, 0, 256)
+        x0 = GridFunction(prob.grid, np.zeros_like(prob.grid))
+        with pytest.raises(UncertifiedHypothesis):
+            simulate_spectral(prob, solve_spectrum(prob, 12), DisturbanceSignal.constant(0.0),
+                              x0, 1.0, N=10)
 
     @pytest.mark.parametrize("n_store", [0, -3])
     def test_store_below_one_rejected(self, laplacian_problem, laplacian_spectrum, n_store):
@@ -626,17 +671,19 @@ class TestLifting:
         transport_problem(1.0, 1.0, 0.0, 1.0, resolution=256),
         build_problem(1, 1, 1, 1, 0, 1, -1, 256)], ids=["tube-a-inf", "tube-a-1", "robin-inlet"])
     def test_lifted_coupling_matches_boundary_coupling(self, problem):
-        # Green's identity: (<phi, A g> + lam <phi, g>)/s is the boundary coupling
-        # kappa/s of the spectral route, up to quadrature error in the low modes
+        # Green's identity: (<phi, A g> + lam <phi, g>)/s, for the cubic and for the
+        # steady-state lift, is the boundary coupling kappa/s =
+        # p(0)(b1 phi'(0) - b2 phi(0))/s^2, up to quadrature error in the low modes
         spectrum = solve_spectrum(problem, 12)
-        d = DisturbanceSignal.constant(1.0)
-        lifted, _ = pde_sim._lifted_coupling(problem, spectrum, lift_disturbance(problem))
+        s = problem.boundary_norm
+        p0 = float(problem.p(np.zeros(1))[0])
+        kappa = p0 * (problem.b1 * spectrum.derivatives_at_0[:8]
+                      - problem.b2 * spectrum.values_at_0[:8]) / s ** 2
+        d = DisturbanceSignal.constant(0.0)
         x0 = GridFunction(problem.grid, np.zeros_like(problem.grid))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            kappa = simulate_spectral(problem, spectrum, d, x0, 0.1, N=8,
-                                      n_store=2).extras["coupling"]
-        assert np.max(np.abs(lifted[:8] - kappa) / np.abs(kappa)) < 1e-5
+        for route in (simulate_spectral, simulate_via_lifting):
+            coupling = route(problem, spectrum, d, x0, 0.1, N=8, n_store=2).extras["coupling"]
+            assert np.max(np.abs(coupling - kappa) / np.abs(kappa)) < 1e-5
 
 
 class TestForcedSpectral:
@@ -644,10 +691,10 @@ class TestForcedSpectral:
                                                        laplacian_spectrum):
         # d = 0.3 + 1.2 sin(2.5 t + 0.4) through the boundary coupling: each mode is
         # the exact solution of c' = -lam c + coupling d, c(0) the projection of x0
+        # (x0 = phi_2 misses the inlet datum d(0) and is projected first)
         d = DisturbanceSignal.sinusoid(1.2, 2.5, 0.4, 0.3)
         x0 = laplacian_spectrum.phi(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.warns(CompatibilityWarning):
             traj = simulate_spectral(laplacian_problem, laplacian_spectrum, d, x0, 0.8,
                                      N=12, n_store=16)
         c, coupling = traj.extras["coefficients"], traj.extras["coupling"]
