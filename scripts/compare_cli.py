@@ -50,11 +50,13 @@ GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg
         "--config ../x.cfg --q 2", "--config ../negq.cfg", "--config ../robin.cfg",
         "--config ../y.cfg", "--case transport --a 1e14", "--case transport --a nan",
         "--case transport --D 0", "--case transport --v -1", "--case backstepping --c -1",
-        "--case transport --zeta 1e6 --a 1", "--case transport --zeta 128 --a inf"]
+        "--case transport --zeta 1e6 --a 1", "--case transport --zeta 128 --a inf",
+        "--config ../robin-inlet.cfg"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
             "--case backstepping --c 2 --D 0.5 --modes 16",
             *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"]]
 SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
+            f"fd --config ../robin-inlet.cfg --x0 steady {ISS}",
             f"fd --case transport --zeta 2 --a 1 --x0 steady {ISS}",
             "fd --case transport --q 2 --x0 sine --output traj.csv",
             f"spectral --case transport --zeta 1 --a 1 --disturbance smoothed-step {ISS}",

@@ -44,7 +44,6 @@ from .pde_sim import (
     Trajectory,
     _crank_nicolson,
     _row_norms,
-    _semidiscrete_operator,
     _store_indices,
     _time_steps,
 )
@@ -205,11 +204,10 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
     """Crank-Nicolson closed loop with the feedback folded in implicitly.
 
     The plant y_t = D y_zz + p y is the Dirichlet problem p = D, q = -p, r = 1
-    (resolution >= 64) on :func:`issgain.pde_sim._semidiscrete_operator`.  The
-    inlet value u = d - integral k(0,s) y ds is the open-loop inlet tied to the
-    state by one dense feedback row; solved for u it reads
-    u = (d - w[1:-1] @ y[1:-1])/(1 + w0) with w = kernel.weighted[0], and
-    :func:`issgain.pde_sim._crank_nicolson` steps the plant with that row.
+    (resolution >= 64).  The inlet value u = d - integral k(0,s) y ds is the
+    open-loop inlet tied to the state by one dense feedback row; solved for u it
+    reads u = (d - w @ y)/(1 + w0) over the interior nodes, w = kernel.weighted[0],
+    and :func:`issgain.pde_sim._crank_nicolson` steps the plant with the row w/(1 + w0).
     """
     if cfg.d is None:
         raise ValueError("config carries no actuator-error signal d")
@@ -233,18 +231,15 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
         raise IncompatibleInitialCondition(
             f"y0(0) = {y0.values[0]:.6g} but the feedback gives u(0) = {u0:.6g}")
 
-    sub, diag, sup, load, _, _ = _semidiscrete_operator(backstepping_target(-cfg.p, cfg.D, m))
+    plant = backstepping_target(-cfg.p, cfg.D, m)
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
     w0 = float(w_feedback[0])
     inlet = d_all / (1.0 + w0)
     inlet[0] = u0
-    rows, uvals = _crank_nicolson(sub, diag, sup, load[0], inlet, y0.values[1:-1], dt,
-                                  store_at, feedback=w_feedback[1:-1] / (1.0 + w0))
-    y_rows = np.zeros((store_at.size, m + 1))
-    y_rows[:, 1:-1] = rows
-    y_rows[:, 0] = uvals
+    y_rows, uvals = _crank_nicolson(plant, inlet, y0.values, dt, store_at,
+                                    feedback=w_feedback / (1.0 + w0))
 
     times = times_all[store_at]
     d_vals = d_all[store_at]

@@ -39,6 +39,8 @@ from .sturm_liouville import (
     SLProblem,
     Spectrum,
     _assemble,
+    _on_grid,
+    _tridiagonal_apply,
     fourier_coefficients,
     solve_steady_bvp,
 )
@@ -177,14 +179,12 @@ def lift_disturbance(problem: SLProblem) -> LiftingRecord:
 
 
 def _semidiscrete_operator(problem: SLProblem):
-    """Sub-, main and super-diagonal of A, load direction and active window
-    of x' = A x + d(t) load, where A = -M^{-1} T on the active nodes of the
+    """Sub-, main and super-diagonal of A, load and active window lo..hi of
+    x' = A x + d(t) load e_1, where A = -M^{-1} T on the active nodes of the
     finite-volume stiffness T and lumped mass M of ``_assemble``; the load is
-    M^{-1} times its inlet column."""
+    the inlet column's one nonzero over its mass."""
     diag, off, mass, inlet, lo, hi = _assemble(problem, problem.resolution)
-    load = np.zeros(hi - lo + 1)
-    load[0] = inlet / mass[0]
-    return -off / mass[1:], -diag / mass, -off / mass[:-1], load, lo, hi
+    return -off / mass[1:], -diag / mass, -off / mass[:-1], inlet / mass[0], lo, hi
 
 
 def _require_store(n_store: int):
@@ -242,15 +242,18 @@ def _check_compatibility(problem: SLProblem, x0: GridFunction, d: DisturbanceSig
     return GridFunction(x0.grid, corrected)
 
 
-def _crank_nicolson(sub, diag, sup, load: float, inlet: np.ndarray, x0: np.ndarray,
-                    dt: float, store_at: np.ndarray, feedback: np.ndarray | None = None):
-    """Crank-Nicolson run of x' = A x + u(t) load e_1, A tridiagonal (sub, diag, sup).
+def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: float,
+                    store_at: np.ndarray, feedback: np.ndarray | None = None):
+    """Crank-Nicolson run of x' = A x + u(t) load e_1, the operator of
+    :func:`_semidiscrete_operator` on the active nodes of ``problem``.
 
-    u is ``inlet[step]``, or with a ``feedback`` row ``inlet[step] - feedback @ x``
-    from step 1 on (``inlet[0]`` is u(0)), solved by a Sherman-Morrison
-    correction.  I - (dt/2) A is LU-factored once; a zero pivot raises
-    :class:`NumericalFailure`.  Returns the states and u at the steps ``store_at``.
+    ``x0`` and ``feedback`` are full-grid rows.  u is ``inlet[step]``, or with a
+    ``feedback`` row ``inlet[step] - feedback @ x`` from step 1 on (``inlet[0]`` is
+    u(0)), solved by a Sherman-Morrison correction.  I - (dt/2) A is LU-factored
+    once; a zero pivot raises :class:`NumericalFailure`.  Returns the full-grid
+    states and u at the steps ``store_at``.
     """
+    sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
     half = 0.5 * dt
     *cn_lu, info = dgttrf(-half * sub, 1.0 - half * diag, -half * sup)
     if info != 0:
@@ -259,24 +262,19 @@ def _crank_nicolson(sub, diag, sup, load: float, inlet: np.ndarray, x0: np.ndarr
     if feedback is None:
         inlet_terms = coupling * (inlet[:-1] + inlet[1:])
     else:
-        e1 = np.zeros(x0.size)
+        feedback = feedback[lo:hi + 1]
+        e1 = np.zeros(diag.size)
         e1[0] = 1.0
         x_e1 = dgttrs(*cn_lu, e1)[0]
         sm_denom = 1.0 + coupling * float(feedback @ x_e1)
 
-    def apply_a(x):
-        out = diag * x
-        out[:-1] += sup * x[1:]
-        out[1:] += sub * x[:-1]
-        return out
-
-    rows = np.empty((store_at.size, x0.size))
+    rows = np.empty((store_at.size, diag.size))
     u_stored = inlet[store_at]
-    x, u = x0.copy(), inlet[0]
+    x, u = x0[lo:hi + 1].copy(), inlet[0]
     rows[0] = x                               # step 0 is always stored
     for k in range(1, store_at.size):
         for step in range(store_at[k - 1], store_at[k]):
-            rhs = x + half * apply_a(x)
+            rhs = x + half * _tridiagonal_apply(sub, diag, sup, x)
             if feedback is None:
                 rhs[0] += inlet_terms[step]
                 x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
@@ -288,7 +286,7 @@ def _crank_nicolson(sub, diag, sup, load: float, inlet: np.ndarray, x0: np.ndarr
         rows[k] = x
         if feedback is not None:
             u_stored[k] = u
-    return rows, u_stored
+    return _on_grid(problem, rows, u_stored, lo), u_stored
 
 
 def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
@@ -297,9 +295,8 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
 
     The time-varying inlet datum enters through the scheme average of the
     two levels (equivalent to evaluation at the half-step to second order).
-    The run is :func:`_crank_nicolson` on the operator of
-    :func:`_semidiscrete_operator`, with ``dt`` shortened so that whole steps
-    end at T.  Incompatible initial data are projected with a warning.
+    The run is :func:`_crank_nicolson` with u = d and ``dt`` shortened so that
+    whole steps end at T; incompatible initial data are projected with a warning.
     """
     n_steps, dt_run = _time_steps(dt, T)
     require_same_grid(x0, problem.grid)
@@ -308,18 +305,10 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
                       f"(omega*dt = {d.frequency * dt:.2f})", StabilityWarning, stacklevel=2)
     x0 = _check_compatibility(problem, x0, d)
 
-    sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
     times_all = dt_run * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
-    # load has one nonzero, its first entry
-    rows, inlet = _crank_nicolson(sub, diag, sup, load[0], d_all, x0.values[lo:hi + 1],
-                                  dt_run, store_at)
-    values = np.zeros((store_at.size, problem.resolution + 1))
-    values[:, lo:hi + 1] = rows
-    if problem.b2 == 0.0:
-        values[:, 0] = inlet / problem.b1
-
+    values, inlet = _crank_nicolson(problem, d_all, x0.values, dt_run, store_at)
     norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
     return Trajectory(times_all[store_at], values, problem.grid, norms, d, inlet,
                       "crank-nicolson", dt_run)

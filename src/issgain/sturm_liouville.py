@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 from scipy.special import zeta as hurwitz_zeta
 
 from .coefficients import Coefficient
@@ -327,58 +328,60 @@ def check_hypothesis_H(spectrum: Spectrum, problem: SLProblem) -> HypothesisRepo
     return HypothesisReport(lambda1, True, partial, tail, False, "heuristic-fit")
 
 
-def _steady_system(problem: SLProblem, m: int, boundary_value: float):
-    """Steady-BVP system at resolution m: diagonal, off-diagonal and right-hand
-    side on the active nodes lo..hi, and the Dirichlet inlet value (else 0)."""
-    diag, off, _, inlet, lo, hi = _assemble(problem, m)
-    rhs = np.zeros(hi - lo + 1)
-    rhs[0] = inlet * boundary_value
-    left_value = boundary_value / problem.b1 if problem.b2 == 0.0 else 0.0
-    return diag, off, lo, hi, rhs, left_value
+def _on_grid(problem: SLProblem, active: np.ndarray, datum, lo: int) -> np.ndarray:
+    """Rows on the active nodes lo..hi of ``_assemble``, embedded on the full grid: a
+    Dirichlet inlet node (lo = 1) holds datum/b1, a Dirichlet exit node holds 0."""
+    full = np.zeros(active.shape[:-1] + (problem.resolution + 1,))
+    full[..., lo:lo + active.shape[-1]] = active
+    if lo:
+        full[..., 0] = datum / problem.b1
+    return full
 
 
-def solve_steady_bvp(problem: SLProblem, boundary_value: float,
-                     resolution: int | None = None) -> GridFunction:
+def _tridiagonal_apply(sub, diag, sup, x: np.ndarray) -> np.ndarray:
+    """T x for the tridiagonal T with sub-, main and super-diagonal (sub, diag, sup)."""
+    out = diag * x
+    out[:-1] += sup * x[1:]
+    out[1:] += sub * x[:-1]
+    return out
+
+
+def solve_steady_bvp(problem: SLProblem, boundary_value: float) -> GridFunction:
     """Solve ``(p x')' - q x = 0`` with inlet datum and homogeneous exit.
 
     Inlet: ``b1 x(0) + b2 x'(0) = boundary_value``; exit:
     ``a1 x(1) + a2 x'(1) = 0``.  Unique solvability needs 0 outside the
     spectrum (guaranteed by a certified hypothesis, lambda_1 > 0).
-    Raises :class:`SingularBVP` when the discrete system is near-singular.
+    Raises :class:`SingularBVP` when the discrete system is near-singular and
+    ValueError when it is not finite (a datum that overflows the inlet row).
     """
-    m = problem.resolution if resolution is None else resolution
-    diag, off, lo, hi, rhs, left_value = _steady_system(problem, m, boundary_value)
-    ab = np.zeros((3, rhs.size))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    try:
-        x_active = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBVP("steady BVP matrix is singular") from exc
+    diag, off, _, inlet, lo, _ = _assemble(problem, problem.resolution)
+    rhs = np.zeros(diag.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs[0] = inlet * boundary_value
+    # each off-diagonal entry is a term of a diagonal one, so checking diag covers both
+    if not (math.isfinite(rhs[0]) and np.all(np.isfinite(diag))):
+        raise ValueError(f"steady BVP system is not finite for datum {boundary_value:g}")
+    *_, x_active, info = dgtsv(off, diag, off, rhs)
+    if info > 0:
+        raise SingularBVP("steady BVP matrix is singular")
     scale = max(abs(boundary_value), 1e-30)
     if not np.all(np.isfinite(x_active)) or np.max(np.abs(x_active)) > 1e10 * scale:
         raise SingularBVP("steady BVP is near-singular (an eigenvalue is close to 0)")
 
-    x = np.zeros(m + 1)
-    x[0] = left_value                  # the Dirichlet inlet value; else solved for
-    x[lo:hi + 1] = x_active
-    h = 1.0 / m
-    grid = uniform_grid(m)
-    return GridFunction(grid, x,
-                        deriv_left=derivative_at_left(x, h),
-                        deriv_right=derivative_at_right(x, h))
+    x = _on_grid(problem, x_active, boundary_value, lo)
+    return GridFunction(problem.grid, x,
+                        deriv_left=derivative_at_left(x, problem.spacing),
+                        deriv_right=derivative_at_right(x, problem.spacing))
 
 
 def steady_bvp_residual(problem: SLProblem, x: GridFunction, boundary_value: float) -> float:
     """Relative residual of the discrete two-point BVP equations."""
-    diag, off, lo, hi, rhs, _ = _steady_system(problem, x.resolution, boundary_value)
+    diag, off, _, inlet, lo, hi = _assemble(problem, x.resolution)
     v = x.values[lo:hi + 1]
-    res = diag * v
-    res[:-1] += off * v[1:]
-    res[1:] += off * v[:-1]
-    res -= rhs
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(diag * v)), 1e-30)
+    res = _tridiagonal_apply(off, diag, off, v)
+    res[0] -= inlet * boundary_value
+    scale = max(abs(inlet * boundary_value), np.max(np.abs(diag * v)), 1e-30)
     return float(np.max(np.abs(res)) / scale)
 
 

@@ -459,7 +459,7 @@ class TestPlantOperator:
         assert np.array_equal(sub, np.full(m - 2, rho))
         assert np.array_equal(sup, np.full(m - 2, rho))
         assert np.array_equal(diag, np.full(m - 1, -2.0 * rho + p))
-        assert load[0] == rho and not np.any(load[1:])
+        assert load == rho
 
     def test_resolution_below_64_rejected(self):
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(0.0))

@@ -426,6 +426,17 @@ class TestRejectedInputs:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", ["inf", "nan", "1e308"])
+    def test_non_finite_steady_datum(self, tmp_path, capsys, amplitude):
+        # 1e308 is finite, but the inlet row of the steady solve overflows
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--solver", "fd", "--x0", "steady",
+                     "--amplitude", amplitude, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("solver, flag", [
         ("fd", "--T"), ("fd", "--dt"), ("closed-loop", "--T"), ("closed-loop", "--dt"),

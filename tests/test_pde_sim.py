@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import lapack, solve_banded
 
 import issgain.disturbances as disturbances
@@ -152,6 +151,7 @@ FD_ORACLE_PROBLEMS = {
     "transport a=1": lambda: transport_problem(1.0, 2.0, 0.0, 1.0, resolution=128),
     "transport a=inf": lambda: transport_problem(1.0, 2.0, 0.0, math.inf, resolution=128),
     "robin inlet": lambda: build_problem(1.0, 1.0, 1.0, 1, 0, 1, -1, 128),
+    "scaled dirichlet inlet": lambda: build_problem(1.0, 0.5, 1.0, 1, 0, 2.0, 0, 128),
     "weighted form a=1": lambda: transport_problem(1.0, 2.0, 0.3, 1.0, form="y",
                                                    resolution=128),
     "weighted form a=inf": lambda: transport_problem(1.0, 2.0, 0.3, math.inf, form="y",
@@ -418,7 +418,8 @@ class TestCrankNicolsonLoop:
         lower, diag, upper, load, lo, hi = loop_semidiscrete_operator(problem)
         got = pde_sim._semidiscrete_operator(problem)
         assert got[4:] == (lo, hi)
-        for a, b in zip(got[:4], (lower[1:], diag, upper[:-1], load)):
+        assert not np.any(load[1:])
+        for a, b in zip(got[:4], (lower[1:], diag, upper[:-1], load[0])):
             if problem.has_constant_coefficients:
                 assert np.array_equal(a, b)
             else:
@@ -438,7 +439,8 @@ class TestCrankNicolsonLoop:
             return
         # the time loop itself is exact given the same operator ...
         sub, diag, sup, load, lo, hi = pde_sim._semidiscrete_operator(problem)
-        same_operator = (np.r_[0.0, sub], diag, np.r_[sup, 0.0], load, lo, hi)
+        same_operator = (np.r_[0.0, sub], diag, np.r_[sup, 0.0],
+                         np.r_[load, np.zeros(diag.size - 1)], lo, hi)
         exact, exact_norms = solve_banded_cn(problem, d, x0, 1e-3, 0.3, 40, same_operator)
         assert np.array_equal(traj.state_matrix(), exact)
         assert np.array_equal(traj.norms, exact_norms)
@@ -449,7 +451,7 @@ class TestCrankNicolsonLoop:
         assert np.max(np.abs(traj.norms - norms)) <= 1e-12 * np.max(norms)
 
     def test_work_per_run(self, monkeypatch, transport_case_problem):
-        calls = {"dgttrf": 0, "solve_banded": 0, "GridFunction": 0}
+        calls = {"dgttrf": 0, "dgtsv": 0, "GridFunction": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -458,10 +460,8 @@ class TestCrankNicolsonLoop:
             return wrapper
         monkeypatch.setattr(pde_sim, "dgttrf", counted("dgttrf", lapack.dgttrf),
                             raising=False)
-        banded = counted("solve_banded", scipy.linalg.solve_banded)
-        monkeypatch.setattr(pde_sim, "solve_banded", banded, raising=False)
-        monkeypatch.setattr(issgain.sturm_liouville, "solve_banded", banded)
-        monkeypatch.setattr(scipy.linalg, "solve_banded", banded)
+        monkeypatch.setattr(issgain.sturm_liouville, "dgtsv",
+                            counted("dgtsv", lapack.dgtsv))
         monkeypatch.setattr(GridFunction, "__post_init__",
                             counted("GridFunction", GridFunction.__post_init__))
 
@@ -474,7 +474,7 @@ class TestCrankNicolsonLoop:
             traj = simulate_fd(problem, d, x0, 1e-3, 0.5, n_store=n_store)
             assert calls["dgttrf"] == 1
             built.append(calls["GridFunction"])
-        assert calls["solve_banded"] == 0
+        assert calls["dgtsv"] == 0
         # the lifting cubic is built whatever the number of stored states
         assert built[0] == built[1] <= 2
 
@@ -509,14 +509,13 @@ class TestCrankNicolsonLoop:
                        DisturbanceSignal.constant(0.0), np.zeros(3), "test", 1.0)
 
     def test_zero_feedback_row_is_the_open_loop(self, transport_case_problem):
-        sub, diag, sup, load, lo, hi = pde_sim._semidiscrete_operator(transport_case_problem)
-        grid = transport_case_problem.grid
+        problem = transport_case_problem
         dt, n_steps = 1e-3, 300
         inlet = np.asarray(DisturbanceSignal.sinusoid(1.0, 3.0).value(dt * np.arange(n_steps + 1)))
-        x0 = np.sin(math.pi * grid)[lo:hi + 1]
+        x0 = np.sin(math.pi * problem.grid)
         store_at = pde_sim._store_indices(n_steps, 40)
-        open_loop = pde_sim._crank_nicolson(sub, diag, sup, load[0], inlet, x0, dt, store_at)
-        zero_row = pde_sim._crank_nicolson(sub, diag, sup, load[0], inlet, x0, dt, store_at,
+        open_loop = pde_sim._crank_nicolson(problem, inlet, x0, dt, store_at)
+        zero_row = pde_sim._crank_nicolson(problem, inlet, x0, dt, store_at,
                                            feedback=np.zeros(x0.size))
         assert np.array_equal(open_loop[0], zero_row[0])
         assert np.array_equal(open_loop[1], zero_row[1])

@@ -182,6 +182,20 @@ class TestSteadyBVP:
         exact = c1 * np.exp(zeta * x.grid) + c2 * np.exp(-zeta * x.grid)
         assert np.max(np.abs(x.values - exact)) < 5e-6
 
+    def test_dirichlet_inlet_holds_datum_over_b1(self):
+        prob = build_problem(1.0, 0.5, 1.0, 1, 0, 2.0, 0, 128)
+        datum = 0.7
+        x = solve_steady_bvp(prob, datum)
+        assert 2.0 * x.values[0] == datum
+        assert steady_bvp_residual(prob, x, datum) <= 1e-12
+
+    def test_non_finite_system_rejected(self):
+        # p spikes to 1e306 mid-interval: the interior stiffness rows overflow
+        z = np.linspace(0.0, 1.0, 11)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            p = Coefficient.table(z, np.where(np.abs(z - 0.5) < 0.01, 1e306, 1.0))
+            solve_steady_bvp(build_problem(p, 1.0, 1.0, 1, 0, 1, 0), 1.0)
+
     def test_zero_datum_gives_zero(self, transport_case_problem):
         x = solve_steady_bvp(transport_case_problem, 0.0)
         assert np.max(np.abs(x.values)) == 0.0
