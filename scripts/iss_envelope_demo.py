@@ -21,7 +21,7 @@ from issgain import (
     transport_problem,
     verify_iss,
 )
-from issgain.csvio import ISS_HEADER, iss_report_rows, trajectory_header, trajectory_rows, write_csv
+from issgain.csvio import ISS_HEADER, trajectory_header, trajectory_rows, write_csv
 
 
 def main():
@@ -44,7 +44,7 @@ def main():
             write_csv(trajectory_header(traj), trajectory_rows(traj),
                       f"trajectory_{name}_{solver}.csv")
             check = verify_iss(traj, envelope, epsilons=(0.1, 1.0, 10.0), slack=1e-3)
-            write_csv(ISS_HEADER, iss_report_rows(check), f"iss_{name}_{solver}.csv")
+            write_csv(ISS_HEADER, check.rows(), f"iss_{name}_{solver}.csv")
             margins = ", ".join(f"eps={e}: {m:+.4f}" for e, m in
                                 zip(check.epsilons, check.min_margins))
             print(f"{name}/{solver}: pass={check.passed}  min margins: {margins}")

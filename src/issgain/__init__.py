@@ -13,8 +13,6 @@ from .backstepping import (
     apply_transform,
     bessel_kernel,
     closed_loop_bound,
-    feedback_control,
-    reciprocity_residual,
     simulate_closed_loop,
     solve_inverse_kernel,
     solve_kernel,
@@ -51,13 +49,11 @@ from .gains import (
     SweepTable,
     TransportCase,
     advection_gain,
-    analytic_transport_spectrum,
     backstepping_gain,
     gain_bvp,
     gain_series,
     mu_root,
     mu_roots,
-    steady_state_coefficients,
     sweep_figure1,
     transport_gain,
     transport_gain_closed,
@@ -82,11 +78,9 @@ from .sturm_liouville import (
     build_problem,
     check_hypothesis_H,
     fourier_coefficients,
-    parseval_residual,
     solve_spectrum,
     solve_steady_bvp,
     steady_bvp_residual,
-    weighted_inner,
     weighted_norm,
 )
 

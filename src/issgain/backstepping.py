@@ -30,23 +30,17 @@ from scipy.special import i1 as bessel_i1, j1 as bessel_j1
 
 from .config import backstepping_target
 from .disturbances import DisturbanceSignal
-from .errors import GridMismatch, IncompatibleInitialCondition, NumericalFailure
+from .errors import IncompatibleInitialCondition, NumericalFailure
 from .gains import backstepping_gain
 from .grids import (
     GridFunction,
     require_same_grid,
+    simpson_norms,
     simpson_weights,
     tail_quadrature_matrix,
     uniform_grid,
 )
-from .pde_sim import (
-    IssEnvelope,
-    Trajectory,
-    _crank_nicolson,
-    _row_norms,
-    _store_indices,
-    _time_steps,
-)
+from .pde_sim import IssEnvelope, Trajectory, _crank_nicolson, _store_indices, _time_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,50 +138,6 @@ def apply_transform(kernel: Kernel, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, f.values + kernel.weighted @ f.values)
 
 
-def feedback_control(kernel: Kernel, y_state: GridFunction, d_value: float = 0.0) -> float:
-    """u = d - integral_0^1 k(0,s) y(s) ds."""
-    require_same_grid(y_state, kernel.grid)
-    return float(d_value - kernel.weighted[0] @ y_state.values)
-
-
-def reciprocity_residual(forward: Kernel, inverse: Kernel, stride: int = 8) -> float:
-    """max over a triangle subsample of |l + k + int_z^s k(z,t) l(t,s) dt|.
-
-    This is the operator identity K + L + K L = 0 satisfied by the kernels of
-    mutually inverse plus-sign Volterra transforms.
-    """
-    if forward.resolution != inverse.resolution:
-        raise GridMismatch("kernels live on different grids")
-    m = forward.resolution
-    h = 1.0 / m
-    worst = 0.0
-    idx = range(0, m + 1, stride)
-    for j in idx:
-        col = inverse.values[:, j]
-        for i in idx:
-            if i > j:
-                continue
-            seg = forward.values[i, i:j + 1] * col[i:j + 1]
-            integral = _segment_integral(seg, h)
-            res = inverse.values[i, j] + forward.values[i, j] + integral
-            worst = max(worst, abs(res))
-    return worst
-
-
-def _segment_integral(seg: np.ndarray, h: float) -> float:
-    n = seg.size - 1
-    if n <= 0:
-        return 0.0
-    if n == 1:
-        return 0.5 * h * (seg[0] + seg[1])
-    if n % 2 == 0:
-        return h * float(simpson_weights(n + 1) @ seg)
-    head = h * 3.0 / 8.0 * float(seg[0] + 3.0 * seg[1] + 3.0 * seg[2] + seg[3])
-    if n == 3:
-        return head
-    return head + h * float(simpson_weights(n - 2) @ seg[3:])
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedLoopResult:
     y: Trajectory                 # plant trajectory, states carry y(t,0) = u(t)
@@ -245,7 +195,7 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
     d_vals = d_all[store_at]
 
     def trajectory(rows, method, **fields):
-        return Trajectory(times, rows, kernel.grid, _row_norms(rows, h), d, d_vals, method,
+        return Trajectory(times, rows, kernel.grid, simpson_norms(rows, h), d, d_vals, method,
                           dt, **fields)
 
     y_traj = trajectory(y_rows, "closed-loop-cn", extras={"control": uvals})

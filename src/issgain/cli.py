@@ -214,7 +214,7 @@ def cmd_gain(args) -> int:
         print(f"{name},{csvio.fmt(value)}")
     print(f"max_disagreement,{csvio.fmt(spread)}")
     print()
-    print(main_report.to_kv_block())
+    print(csvio.kv_block(main_report))
     if spread > 1e-4 * max(values):       # one constant by every route: a spread is a failure
         raise NumericalFailure(f"gain routes disagree by {spread:.3g}, more than "
                                f"1e-4 x the largest, {max(values):.6g}")
@@ -255,7 +255,7 @@ def _verify_from_args(args, problem, traj, spectrum, closed_loop) -> int:
         envelope = IssEnvelope.from_gain_report(
             gain_bvp(problem, spectrum=spectrum, require_certified=spectrum is None))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
-    csvio.write_csv(csvio.ISS_HEADER, csvio.iss_report_rows(report), args.iss_output)
+    csvio.write_csv(csvio.ISS_HEADER, report.rows(), args.iss_output)
     return 0 if report.passed else 2
 
 

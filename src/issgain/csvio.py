@@ -77,10 +77,6 @@ def trajectory_header(traj, wide: bool = False) -> str:
     return head
 
 
-def iss_report_rows(report):
-    return report.rows()
-
-
 ISS_HEADER = "epsilon,min_margin,argmin_t,pass"
 
 

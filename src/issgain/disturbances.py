@@ -1,9 +1,9 @@
-"""Boundary disturbance signals d(t) with two derivatives.
+"""Boundary disturbance signals d(t) with their first derivative.
 
-Classical solutions need d twice continuously differentiable, so every kind
-carries evaluators for d, d' and d''.  Tabulated signals are cubic-spline
-interpolants and only piecewise C2; constructing one emits a
-:class:`SmoothnessWarning`.
+Classical solutions need d twice continuously differentiable; every kind
+carries evaluators for d and d' and their exponential convolutions.
+Tabulated signals are cubic-spline interpolants and only piecewise C2;
+constructing one emits a :class:`SmoothnessWarning`.
 """
 from __future__ import annotations
 
@@ -58,13 +58,10 @@ class DisturbanceSignal:
     def derivative(self, t):
         return self._evaluate(t, 1)
 
-    def second_derivative(self, t):
-        return self._evaluate(t, 2)
-
     def _evaluate(self, t, order: int):
-        """d, d' or d'' at ``t``, shaped like ``t``.  A 0-d ``t`` goes through
-        the 1-d array path, so that d(t) equals its element of any array bit
-        for bit (numpy rounds scalar and array powers differently)."""
+        """d (order 0) or d' (order 1) at ``t``, shaped like ``t``.  A 0-d ``t``
+        goes through the 1-d array path, so that d(t) equals its element of any
+        array bit for bit (numpy rounds scalar and array powers differently)."""
         t = np.asarray(t, dtype=float)
         ts = np.atleast_1d(t)
         if self.kind == "constant":
@@ -73,18 +70,14 @@ class DisturbanceSignal:
             amp, om, arg = self.amplitude, self.frequency, self.frequency * ts + self.phase
             if order == 0:
                 out = self.offset + amp * np.sin(arg)
-            elif order == 1:
-                out = amp * om * np.cos(arg)
             else:
-                out = -amp * om ** 2 * np.sin(arg)
+                out = amp * om * np.cos(arg)
         elif self.kind == "smoothed_step":
             u, amp, ramp = np.clip(ts / self.ramp_time, 0.0, 1.0), self.amplitude, self.ramp_time
             if order == 0:
                 out = amp * u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
-            elif order == 1:
-                out = amp * 30.0 * u * u * (1.0 - u) ** 2 / ramp
             else:
-                out = amp * 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) / ramp ** 2
+                out = amp * 30.0 * u * u * (1.0 - u) ** 2 / ramp
         else:
             out = self._spline(ts, order)
         return out.reshape(t.shape)

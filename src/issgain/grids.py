@@ -22,12 +22,10 @@ def uniform_grid(resolution: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real function sampled on a uniform grid, with optional end derivatives."""
+    """Real function sampled on a uniform grid."""
 
     grid: np.ndarray
     values: np.ndarray
-    deriv_left: float | None = None
-    deriv_right: float | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -54,14 +52,7 @@ class GridFunction:
         return float(self.values[0])
 
     def derivative_at_left(self) -> float:
-        if self.deriv_left is not None:
-            return self.deriv_left
         return derivative_at_left(self.values, self.spacing)
-
-    def derivative_at_right(self) -> float:
-        if self.deriv_right is not None:
-            return self.deriv_right
-        return derivative_at_right(self.values, self.spacing)
 
 
 def require_same_grid(f: GridFunction, g_or_grid) -> None:
@@ -80,9 +71,11 @@ def simpson_weights(n_nodes: int) -> np.ndarray:
     return w / 3.0
 
 
-def integrate_simpson(values: np.ndarray, h: float) -> float:
-    values = np.asarray(values, dtype=float)
-    return float(h * simpson_weights(values.size) @ values)
+def simpson_norms(values: np.ndarray, h: float, weight=1.0) -> np.ndarray:
+    """Weighted L2 norm sqrt(integral weight f^2) of each row f of ``values``, by
+    composite Simpson on spacing ``h``; ``weight`` is a scalar or node samples."""
+    w = simpson_weights(values.shape[-1]) * weight
+    return np.sqrt(np.maximum(h * np.sum(w * values * values, axis=-1), 0.0))
 
 
 def derivative_at_left(values: np.ndarray, h: float) -> float:
@@ -91,13 +84,6 @@ def derivative_at_left(values: np.ndarray, h: float) -> float:
     if v.size < 5:
         return float((v[1] - v[0]) / h)
     return float((-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h))
-
-
-def derivative_at_right(values: np.ndarray, h: float) -> float:
-    v = np.asarray(values, dtype=float)
-    if v.size < 5:
-        return float((v[-1] - v[-2]) / h)
-    return float((25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h))
 
 
 @functools.cache

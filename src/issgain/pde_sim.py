@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     StabilityWarning,
 )
 from .gains import GainReport, _certify
-from .grids import GridFunction, require_same_grid, simpson_weights, uniform_grid
+from .grids import GridFunction, require_same_grid, simpson_norms, uniform_grid
 from .sturm_liouville import (
     SLProblem,
     Spectrum,
@@ -48,29 +47,13 @@ from .sturm_liouville import (
 DEFAULT_STORE = 160
 
 
-class StateView(Sequence):
-    """The stored states of a trajectory as a sequence of GridFunctions,
-    each built from its row when it is read."""
-
-    def __init__(self, values: np.ndarray, grid: np.ndarray):
-        self._values = values
-        self._grid = grid
-
-    def __len__(self) -> int:
-        return self._values.shape[0]
-
-    def __getitem__(self, i: int) -> GridFunction:
-        return GridFunction(self._grid, self._values[i])
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Stored states as one (n_times, n_nodes) array over ``grid``, with
     their weighted norms.
 
     Row i of ``values`` is the state at ``times[i]``.  The array is checked
-    finite once, here, and made read-only; ``states`` wraps a row in a
-    GridFunction only when that row is read.
+    finite once, here, and made read-only.
     """
 
     times: np.ndarray
@@ -91,28 +74,6 @@ class Trajectory:
             raise ValueError("values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def states(self) -> StateView:
-        return StateView(self.values, self.grid)
-
-    @property
-    def running_max_d(self) -> np.ndarray:
-        """max |d| over [times[0], t] at each stored time t."""
-        return _running_max_abs(self.disturbance, self.times)
-
-    @property
-    def final_state(self) -> GridFunction:
-        return GridFunction(self.grid, self.values[-1])
-
-    def state_matrix(self) -> np.ndarray:
-        return self.values
-
-
-def _row_norms(values: np.ndarray, h: float, weight=1.0) -> np.ndarray:
-    """Simpson weighted L2 norm of each row of ``values``."""
-    w = simpson_weights(values.shape[-1]) * weight
-    return np.sqrt(np.maximum(h * np.sum(w * values * values, axis=-1), 0.0))
 
 
 def _running_max_abs(d: DisturbanceSignal, times: np.ndarray,
@@ -167,7 +128,7 @@ def lift_disturbance(problem: SLProblem) -> LiftingRecord:
     g_vals = b1n + b2n * grid + c1 * grid ** 2 + c2 * grid ** 3
     g_prime = b2n + 2.0 * c1 * grid + 3.0 * c2 * grid ** 2
     g_second = 2.0 * c1 + 6.0 * c2 * grid
-    g = GridFunction(grid, g_vals, deriv_left=float(g_prime[0]), deriv_right=float(g_prime[-1]))
+    g = GridFunction(grid, g_vals)
     rn = problem.r(grid)
     forcing_a = (problem.p.derivative(grid) * g_prime + problem.p(grid) * g_second
                  - problem.q(grid) * g_vals) / rn
@@ -309,7 +270,7 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
     values, inlet = _crank_nicolson(problem, d_all, x0.values, dt_run, store_at)
-    norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
+    norms = simpson_norms(values, problem.spacing, problem.r(problem.grid))
     return Trajectory(times_all[store_at], values, problem.grid, norms, d, inlet,
                       "crank-nicolson", dt_run)
 
@@ -361,7 +322,7 @@ def _lifted_modal(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
     phi = spectrum.eigenfunctions[:N]
     d_values = np.asarray(d.value(times))
     values = coeffs @ phi + np.outer(d_values / s, g - g_coeffs[:N] @ phi)
-    norms = _row_norms(values, problem.spacing, problem.r(problem.grid))
+    norms = simpson_norms(values, problem.spacing, problem.r(problem.grid))
     return Trajectory(times, values, problem.grid, norms, d, d_values, method,
                       times[1] - times[0],
                       extras={"coefficients": coeffs, "coupling": coupling[:N],
@@ -403,24 +364,14 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
     """Exact solution of y_t + v y_z = -k y with inlet datum d.
 
     ``y(t,z) = e^{-kt} y0(z - vt)`` ahead of the characteristic z = vt and
-    ``e^{-kz/v} d(t - z/v)`` behind it.  ``y0`` may be a callable or a
-    GridFunction (then a cubic spline is used off-grid).  Norms carry the
-    weight e^{-vz/D} when ``weight_D`` is given.
+    ``e^{-kz/v} d(t - z/v)`` behind it; ``y0`` is a callable of z.  Norms
+    carry the weight e^{-vz/D} when ``weight_D`` is given.
     """
     if v <= 0:
         raise ValueError("v must be positive")
-    if callable(y0):
-        y0_fn = y0
-        y0_left = float(y0(0.0))
-        eps = 1e-6
-        y0_prime_left = (4.0 * float(y0(eps)) - float(y0(2 * eps))
-                         - 3.0 * float(y0(0.0))) / (2.0 * eps)
-    else:
-        # imported here, not at the top: it adds ~250 ms to every start-up
-        from scipy.interpolate import CubicSpline
-        y0_fn = CubicSpline(y0.grid, y0.values)
-        y0_left = float(y0.values[0])
-        y0_prime_left = y0.derivative_at_left()
+    y0_left = float(y0(0.0))
+    eps = 1e-6
+    y0_prime_left = (4.0 * float(y0(eps)) - float(y0(2 * eps)) - 3.0 * y0_left) / (2.0 * eps)
 
     d0 = float(d.value(np.asarray(0.0)))
     dp0 = float(d.derivative(np.asarray(0.0)))
@@ -436,11 +387,11 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
     values = np.empty((times.size, grid.size))
     for vals, t in zip(values, times):
         ahead = grid > v * t
-        vals[ahead] = math.exp(-k * t) * np.asarray(y0_fn(grid[ahead] - v * t))
+        vals[ahead] = math.exp(-k * t) * np.asarray(y0(grid[ahead] - v * t))
         behind = ~ahead
         vals[behind] = np.exp(-k * grid[behind] / v) * d.value(t - grid[behind] / v)
     d_values = np.asarray(d.value(times))
-    return Trajectory(times, values, grid, _row_norms(values, h, weight), d, d_values,
+    return Trajectory(times, values, grid, simpson_norms(values, h, weight), d, d_values,
                       "advection-exact", times[1] - times[0],
                       extras={"v": v, "k": k, "weight_D": weight_D})
 

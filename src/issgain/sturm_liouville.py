@@ -34,8 +34,8 @@ from .errors import (
 from .grids import (
     GridFunction,
     derivative_at_left,
-    derivative_at_right,
     require_same_grid,
+    simpson_norms,
     simpson_weights,
     uniform_grid,
 )
@@ -153,17 +153,19 @@ class HypothesisReport:
 def _assemble(problem: SLProblem, resolution: int):
     """Stiffness diagonal/off-diagonal, mass diagonal and inlet column on the active
     nodes lo..hi.  ``inlet`` is the column's one nonzero, in the first active row,
-    per unit datum: ph[0]/h/b1 (Dirichlet inlet) or -p(0)/b2 (Robin inlet)."""
+    per unit datum: ph[0]/h/b1 (Dirichlet inlet) or -p(0)/b2 (Robin inlet).
+
+    Raises :class:`ConfigError` when a row of the mass-scaled stiffness overflows;
+    each off-diagonal entry is a term of a diagonal one, so the rows cover both."""
     m = resolution
     h = 1.0 / m
     pn, qn, rn, ph = problem.sample(m)
-    diag = np.empty(m + 1)
-    off = -ph / h                      # off[i] couples nodes i and i+1
-    diag[1:m] = (ph[:-1] + ph[1:]) / h + qn[1:m] * h
-    mass = rn * h
-
     lo, hi = 0, m
     with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.empty(m + 1)
+        off = -ph / h                  # off[i] couples nodes i and i+1
+        diag[1:m] = (ph[:-1] + ph[1:]) / h + qn[1:m] * h
+        mass = rn * h
         if problem.b2 == 0.0:
             lo = 1
             inlet = ph[0] / h / problem.b1
@@ -182,6 +184,12 @@ def _assemble(problem: SLProblem, resolution: int):
                                  "grid; use a = inf (--a inf) for a Dirichlet exit")):
             if robin != 0.0 and not math.isfinite(diag[end] / mass[end]):
                 raise ConfigError(f"a boundary row overflows at resolution {m}: {fix}")
+        rows = diag[lo:hi + 1] / mass[lo:hi + 1]
+    if not np.all(np.isfinite(rows)):
+        z = (lo + int(np.argmin(np.isfinite(rows)))) * h
+        raise ConfigError(f"an operator row overflows at resolution {m} near z = {z:.6g}: "
+                          "p/(r h^2) exceeds the floating-point range; reduce p or the "
+                          "resolution")
     return diag[lo:hi + 1], off[lo:hi], mass[lo:hi + 1], inlet, lo, hi
 
 
@@ -193,12 +201,6 @@ def _solve_raw_spectrum(problem: SLProblem, resolution: int, n_modes: int):
     phi = np.zeros((n_modes, resolution + 1))
     phi[:, lo:hi + 1] = (v / np.sqrt(mass)[:, None]).T
     return w, phi
-
-
-def _simpson_normalize(phi: np.ndarray, r_nodes: np.ndarray, h: float) -> np.ndarray:
-    w = simpson_weights(phi.shape[-1])
-    nrm = np.sqrt(h * np.sum(w * r_nodes * phi * phi, axis=-1))
-    return phi / nrm[..., None]
 
 
 def solve_spectrum(problem: SLProblem, n_modes: int) -> Spectrum:
@@ -228,12 +230,13 @@ def solve_spectrum(problem: SLProblem, n_modes: int) -> Spectrum:
             f"(relative gap {disagreement.max():.2e})")
 
     rn_fine = problem.r(np.linspace(0.0, 1.0, 2 * m + 1))
-    phi1 = _simpson_normalize(phi1, rn, h)
-    phi2_fine = _simpson_normalize(phi2_fine, rn_fine, h / 2.0)
+    phi1 /= simpson_norms(phi1, h, rn)[:, None]
+    phi2_fine /= simpson_norms(phi2_fine, h / 2.0, rn_fine)[:, None]
     align = np.sign(np.sum(phi1 * phi2_fine[:, ::2], axis=-1))
     align[align == 0.0] = 1.0
     phi2_fine *= align[:, None]
-    phi = _simpson_normalize((4.0 * phi2_fine[:, ::2] - phi1) / 3.0, rn, h)
+    phi = (4.0 * phi2_fine[:, ::2] - phi1) / 3.0
+    phi /= simpson_norms(phi, h, rn)[:, None]
 
     # boundary derivatives converge one order slower when extracted from the
     # extrapolated vector; extrapolating the stencil values of the two raw
@@ -353,14 +356,13 @@ def solve_steady_bvp(problem: SLProblem, boundary_value: float) -> GridFunction:
     ``a1 x(1) + a2 x'(1) = 0``.  Unique solvability needs 0 outside the
     spectrum (guaranteed by a certified hypothesis, lambda_1 > 0).
     Raises :class:`SingularBVP` when the discrete system is near-singular and
-    ValueError when it is not finite (a datum that overflows the inlet row).
+    ValueError when a datum overflows the inlet row.
     """
     diag, off, _, inlet, lo, _ = _assemble(problem, problem.resolution)
     rhs = np.zeros(diag.size)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs[0] = inlet * boundary_value
-    # each off-diagonal entry is a term of a diagonal one, so checking diag covers both
-    if not (math.isfinite(rhs[0]) and np.all(np.isfinite(diag))):
+    if not math.isfinite(rhs[0]):
         raise ValueError(f"steady BVP system is not finite for datum {boundary_value:g}")
     *_, x_active, info = dgtsv(off, diag, off, rhs)
     if info > 0:
@@ -369,10 +371,7 @@ def solve_steady_bvp(problem: SLProblem, boundary_value: float) -> GridFunction:
     if not np.all(np.isfinite(x_active)) or np.max(np.abs(x_active)) > 1e10 * scale:
         raise SingularBVP("steady BVP is near-singular (an eigenvalue is close to 0)")
 
-    x = _on_grid(problem, x_active, boundary_value, lo)
-    return GridFunction(problem.grid, x,
-                        deriv_left=derivative_at_left(x, problem.spacing),
-                        deriv_right=derivative_at_right(x, problem.spacing))
+    return GridFunction(problem.grid, _on_grid(problem, x_active, boundary_value, lo))
 
 
 def steady_bvp_residual(problem: SLProblem, x: GridFunction, boundary_value: float) -> float:
@@ -388,16 +387,7 @@ def steady_bvp_residual(problem: SLProblem, x: GridFunction, boundary_value: flo
 def weighted_norm(f: GridFunction, problem: SLProblem) -> float:
     """||f||_r by composite Simpson quadrature on the problem grid."""
     require_same_grid(f, problem.grid)
-    w = simpson_weights(f.values.size)
-    val = f.spacing * np.sum(w * problem.r(f.grid) * f.values ** 2)
-    return math.sqrt(max(val, 0.0))
-
-
-def weighted_inner(f: GridFunction, g: GridFunction, problem: SLProblem) -> float:
-    require_same_grid(f, problem.grid)
-    require_same_grid(g, problem.grid)
-    w = simpson_weights(f.values.size)
-    return float(f.spacing * np.sum(w * problem.r(f.grid) * f.values * g.values))
+    return float(simpson_norms(f.values, f.spacing, problem.r(f.grid)))
 
 
 def fourier_coefficients(f: GridFunction, spectrum: Spectrum, problem: SLProblem) -> np.ndarray:
@@ -407,8 +397,3 @@ def fourier_coefficients(f: GridFunction, spectrum: Spectrum, problem: SLProblem
     w = simpson_weights(f.values.size)
     weighted = w * problem.r(f.grid) * f.values
     return f.spacing * spectrum.eigenfunctions @ weighted
-
-
-def parseval_residual(f: GridFunction, coeffs: np.ndarray, problem: SLProblem) -> float:
-    """|sum c_n^2 - ||f||_r^2| for the given (possibly truncated) coefficients."""
-    return float(abs(np.sum(np.asarray(coeffs) ** 2) - weighted_norm(f, problem) ** 2))

@@ -1,0 +1,83 @@
+"""Reference values the tests check the package against.
+
+Each is derived independently of the routes it checks: the exact eigendata and
+steady profile of the constant-coefficient transport family, and the operator
+identity K + L + K L = 0 of a mutually inverse pair of backstepping kernels.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from issgain import Kernel, Spectrum, TransportCase, mu_roots, uniform_grid
+from issgain.errors import GridMismatch
+from issgain.grids import simpson_weights
+
+
+def analytic_transport_spectrum(case: TransportCase, n_modes: int,
+                                resolution: int = 256) -> Spectrum:
+    """Exact eigendata of the constant-coefficient transport family.
+
+    Used where large mode counts are needed (deep series partial sums,
+    high-accuracy references); the finite-difference route in
+    :mod:`issgain.sturm_liouville` stays independent of it.
+    """
+    ns = np.arange(1, n_modes + 1, dtype=float)
+    mu = mu_roots(ns, case.a)
+    omega = (ns - mu) * math.pi
+    lam = case.q_eff + case.D * omega ** 2
+    sinc = np.sin(2.0 * omega) / (2.0 * omega)
+    amp = np.sqrt(2.0 / (1.0 - sinc))
+    grid = uniform_grid(resolution)
+    phi = amp[:, None] * np.sin(omega[:, None] * grid[None, :])
+    return Spectrum(eigenvalues=lam, eigenfunctions=phi,
+                    derivatives_at_0=amp * omega,
+                    values_at_0=np.zeros_like(lam), grid=grid)
+
+
+def steady_state_coefficients(zeta: float, a: float) -> tuple[float, float]:
+    """(c1, c2) of the steady profile c1 e^{zeta z} + c2 e^{-zeta z}."""
+    if math.isinf(a):
+        den = math.expm1(2.0 * zeta)
+        return -1.0 / den, (den + 1.0) / den
+    den = (zeta + a) * math.exp(2.0 * zeta) + zeta - a
+    return (zeta - a) / den, (zeta + a) * math.exp(2.0 * zeta) / den
+
+
+def reciprocity_residual(forward: Kernel, inverse: Kernel, stride: int = 8) -> float:
+    """max over a triangle subsample of |l + k + int_z^s k(z,t) l(t,s) dt|.
+
+    This is the operator identity K + L + K L = 0 satisfied by the kernels of
+    mutually inverse plus-sign Volterra transforms.
+    """
+    if forward.resolution != inverse.resolution:
+        raise GridMismatch("kernels live on different grids")
+    m = forward.resolution
+    h = 1.0 / m
+    worst = 0.0
+    idx = range(0, m + 1, stride)
+    for j in idx:
+        col = inverse.values[:, j]
+        for i in idx:
+            if i > j:
+                continue
+            seg = forward.values[i, i:j + 1] * col[i:j + 1]
+            integral = _segment_integral(seg, h)
+            res = inverse.values[i, j] + forward.values[i, j] + integral
+            worst = max(worst, abs(res))
+    return worst
+
+
+def _segment_integral(seg: np.ndarray, h: float) -> float:
+    n = seg.size - 1
+    if n <= 0:
+        return 0.0
+    if n == 1:
+        return 0.5 * h * (seg[0] + seg[1])
+    if n % 2 == 0:
+        return h * float(simpson_weights(n + 1) @ seg)
+    head = h * 3.0 / 8.0 * float(seg[0] + 3.0 * seg[1] + 3.0 * seg[2] + seg[3])
+    if n == 3:
+        return head
+    return head + h * float(simpson_weights(n - 2) @ seg[3:])

@@ -28,7 +28,6 @@ from issgain import (
     TransportCase,
     advection_exact,
     advection_gain,
-    analytic_transport_spectrum,
     apply_transform,
     build_problem,
     closed_loop_bound,
@@ -49,6 +48,7 @@ from issgain import (
     verify_iss,
     weighted_norm,
 )
+from oracles import analytic_transport_spectrum
 
 SQRT3_INV = 0.5773502692
 BESSEL_NORM_LAM5 = 0.8602171154643504   # dblquad oracle of the closed form
@@ -160,13 +160,13 @@ def test_criterion_7_lifting_route_equivalence():
     spectrum = solve_spectrum(prob_ref, 200)
     x0_ref = GridFunction(prob_ref.grid, np.zeros(4097))
     lifted = simulate_via_lifting(prob_ref, spectrum, d, x0_ref, T, N=200, n_store=8)
-    ref_vals = lifted.final_state.values
+    ref_vals = lifted.values[-1]
     errs = []
     for m, dt in ((64, 4e-3), (128, 2e-3)):
         prob = build_problem(1.0, 0.25, 1.0, 1, 0, 1, 0, m)
         fd = simulate_fd(prob, d, GridFunction(prob.grid, np.zeros(m + 1)), dt, T,
                          n_store=8)
-        diff = GridFunction(prob.grid, fd.final_state.values - ref_vals[::4096 // m])
+        diff = GridFunction(prob.grid, fd.values[-1] - ref_vals[::4096 // m])
         errs.append(weighted_norm(diff, prob))
     ratio = errs[0] / errs[1]
     check("7", "fd error vs lifting route shrinks by a factor in [3,5] under halving",
@@ -194,7 +194,7 @@ def test_criterion_8b_figure1_limits(figure1_table):
     z1, z2 = t.zetas[0], t.zetas[1]
     limits, expected = {}, {}
     for a in t.a_values:
-        g1, g2 = t.column(a)[0], t.column(a)[1]
+        g1, g2 = t.g_columns[a][0], t.g_columns[a][1]
         # G^2 is analytic in zeta^2: extrapolate linearly in zeta^2
         limits[a] = g1 + (g1 - g2) * z1 ** 2 / (z2 ** 2 - z1 ** 2)
         alpha = 1.0 if math.isinf(a) else a / (1.0 + a)
@@ -222,7 +222,7 @@ def test_criterion_8c_figure1_crossover(figure1_table):
     legacy = sweep_figure1(derivation.zetas, advection_form="legacy")
     legacy_crossings = legacy.crossovers(math.inf)
     derivation_crossings = derivation.crossovers(math.inf)
-    margin = float(np.min(derivation.advection - derivation.column(math.inf)))
+    margin = float(np.min(derivation.advection - derivation.g_columns[math.inf]))
     ok = (len(legacy_crossings) == 1
           and legacy_crossings[0] == pytest.approx((0.05, 0.1), abs=1e-12)
           and derivation_crossings == [] and margin > 0.0)

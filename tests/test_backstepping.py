@@ -15,8 +15,6 @@ from issgain import (
     apply_transform,
     bessel_kernel,
     closed_loop_bound,
-    feedback_control,
-    reciprocity_residual,
     simulate_closed_loop,
     solve_inverse_kernel,
     solve_kernel,
@@ -25,6 +23,7 @@ from issgain import (
 )
 from issgain.grids import simpson_weights, tail_quadrature_matrix
 from issgain.pde_sim import _store_indices
+from oracles import reciprocity_residual
 
 # dblquad of the closed-form kernel squared over the triangle, lam = 5
 BESSEL_NORM_LAM5 = 0.8602171154643504
@@ -217,9 +216,7 @@ class TestTransforms:
     def test_feedback_values(self, kernels_lam5):
         forward, _ = kernels_lam5
         grid = forward.grid
-        zero = GridFunction(grid, np.zeros(grid.size))
-        assert feedback_control(forward, zero, 2.5) == 2.5
-        # quadrature oracle: u(0) for y = 1-z is d - int k(0,s)(1-s) ds
+        # the feedback row gives u = d - int k(0,s) y(s) ds; quadrature oracle at y = 1-z
         from scipy.integrate import quad
         from scipy.special import i1
         lam = forward.lam_bar
@@ -230,8 +227,7 @@ class TestTransforms:
             xi = math.sqrt(lam * arg2)
             return lam * (1.0 - s) * i1(xi) / xi
         exact, _ = quad(lambda s: k0(s) * (1 - s), 0, 1, epsabs=1e-13)
-        y = GridFunction(grid, 1 - grid)
-        assert feedback_control(forward, y, 0.0) == pytest.approx(-exact, abs=1e-9)
+        assert forward.weighted[0] @ (1 - grid) == pytest.approx(exact, abs=1e-9)
 
 
 def closed_loop_step_oracle(cfg, y0, dt, T, kernel, n_store):
@@ -305,9 +301,8 @@ class TestClosedLoop:
     def test_transformed_boundary_values(self, closed_loop_run):
         _, result = closed_loop_run
         for i in range(result.x.times.size):
-            assert result.x.states[i].values[0] == pytest.approx(
-                result.x.d_values[i], abs=1e-9)
-            assert result.x.states[i].values[-1] == 0.0
+            assert result.x.values[i, 0] == pytest.approx(result.x.d_values[i], abs=1e-9)
+            assert result.x.values[i, -1] == 0.0
 
     def test_norm_sandwich(self, closed_loop_run):
         _, result = closed_loop_run
@@ -370,7 +365,7 @@ class TestClosedLoop:
             n_steps = round(0.2 / dt)
             result = simulate_closed_loop(cfg, y0, dt, 0.2, kernel=kernel,
                                           inverse_kernel=inverse, n_store=n_steps)
-            xs = result.x.state_matrix()
+            xs = result.x.values
             ts = result.x.times
             i = xs.shape[0] // 2
             xt = (xs[i + 1] - xs[i - 1]) / (ts[i + 1] - ts[i - 1])
@@ -406,8 +401,9 @@ class TestClosedLoop:
                                       inverse_kernel=inverse, n_store=50)
         assert calls["tail_quadrature_matrix"] <= 2
         assert calls["apply_transform"] == 0
-        x_ref = [apply_transform(kernel, st).values for st in result.y.states]
-        assert np.max(np.abs(result.x.state_matrix() - np.array(x_ref))) <= 1e-13
+        x_ref = [apply_transform(kernel, GridFunction(result.y.grid, row)).values
+                 for row in result.y.values]
+        assert np.max(np.abs(result.x.values - np.array(x_ref))) <= 1e-13
 
     @pytest.mark.parametrize("D, p, c, m, d", [
         (1.0, 3.0, 1.0, 256, DisturbanceSignal.sinusoid(1.0, 2.0, 0.7)),
@@ -428,7 +424,7 @@ class TestClosedLoop:
         result = simulate_closed_loop(cfg, y0, 1e-3, 0.3, kernel=kernel,
                                       inverse_kernel=inverse, n_store=40)
         rows, uvals = closed_loop_step_oracle(cfg, y0, 1e-3, 0.3, kernel, 40)
-        assert np.array_equal(result.y.state_matrix(), rows)
+        assert np.array_equal(result.y.values, rows)
         assert np.array_equal(result.control, uvals)
 
     def test_incompatible_initial_state(self):

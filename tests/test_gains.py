@@ -9,18 +9,18 @@ from issgain import (
     TransportCase,
     UncertifiedHypothesis,
     advection_gain,
-    analytic_transport_spectrum,
     backstepping_gain,
     build_problem,
     gain_bvp,
     gain_series,
     mu_root,
     solve_spectrum,
-    steady_state_coefficients,
     sweep_figure1,
     transport_gain,
     transport_gain_closed,
 )
+from issgain.csvio import kv_block
+from oracles import analytic_transport_spectrum, steady_state_coefficients
 
 SQRT3_INV = 0.5773502691896258
 G_1_INF = 0.5426663913183775      # closed form at zeta = 1, Dirichlet exit
@@ -192,7 +192,7 @@ class TestGenericRoutes:
         rep = backstepping_gain(1.0, 1.0, epsilon=0.25)
         assert rep.iss_overshoot == pytest.approx(math.sqrt(1.25), rel=1e-14)
         assert rep.iss_gain == pytest.approx(rep.gain_C * math.sqrt(5.0), rel=1e-14)
-        block = rep.to_kv_block()
+        block = kv_block(rep)
         assert "gain_C = " in block and "route = closed_form" in block
 
     def test_remark_tightness(self):

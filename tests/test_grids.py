@@ -5,9 +5,8 @@ from issgain.errors import GridMismatch
 from issgain.grids import (
     GridFunction,
     derivative_at_left,
-    derivative_at_right,
-    integrate_simpson,
     require_same_grid,
+    simpson_norms,
     simpson_weights,
     tail_quadrature_matrix,
     uniform_grid,
@@ -26,7 +25,15 @@ def test_simpson_exact_on_cubics():
     g = uniform_grid(16)
     vals = 3 * g**3 - g**2 + 2 * g - 5
     exact = 3 / 4 - 1 / 3 + 1 - 5
-    assert integrate_simpson(vals, 1 / 16) == pytest.approx(exact, abs=1e-14)
+    assert simpson_weights(17) @ vals / 16 == pytest.approx(exact, abs=1e-14)
+
+
+def test_simpson_norms_rows_and_weight():
+    # each row's weighted integrand z * (c z)^2 is a cubic, so Simpson is exact
+    g = uniform_grid(16)
+    norms = simpson_norms(np.vstack([g, 2 * g]), 1 / 16, weight=g)
+    assert norms == pytest.approx([0.5, 1.0], abs=1e-15)
+    assert simpson_norms(g, 1 / 16) == pytest.approx(np.sqrt(1 / 3), abs=1e-15)
 
 
 def test_simpson_needs_even_intervals():
@@ -52,7 +59,6 @@ def test_one_sided_derivatives():
     g = uniform_grid(64)
     vals = np.sin(2 * g)
     assert derivative_at_left(vals, 1 / 64) == pytest.approx(2.0, abs=1e-6)
-    assert derivative_at_right(vals, 1 / 64) == pytest.approx(2 * np.cos(2.0), abs=1e-6)
 
 
 def test_gridfunction_validation():

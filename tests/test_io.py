@@ -75,8 +75,9 @@ class TestKvBlock:
             "value = 0.333333333333\nflag = True\ncount = 16\nname = series\ntail = inf")
 
     def test_gain_report_block(self):
+        from issgain.csvio import kv_block
         from issgain.gains import backstepping_gain
-        block = backstepping_gain(1.0, 1.0).to_kv_block()
+        block = kv_block(backstepping_gain(1.0, 1.0))
         assert [line.split(" = ")[0] for line in block.splitlines()] == [
             "gain_C", "route", "truncation_N", "tail_estimate", "epsilon", "iss_overshoot",
             "iss_decay_rate", "iss_gain", "boundary_norm", "series_value", "closed_value",

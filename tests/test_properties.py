@@ -80,8 +80,8 @@ def test_lifting_cubic_boundary_identities(a1, a2, b1, b2):
     prob = build_problem(1.0, 0.0, 1.0, a1, a2, b1, b2, 64)
     rec = lift_disturbance(prob)
     b1n, b2n, c1, c2 = rec.coeffs
-    g0, gp0 = rec.g.values[0], rec.g.deriv_left
-    g1, gp1 = rec.g.values[-1], rec.g.deriv_right
+    g0, gp0 = rec.g.values[0], b2n
+    g1, gp1 = rec.g.values[-1], b2n + 2.0 * c1 + 3.0 * c2
     assert b1n * g0 + b2n * gp0 == pytest.approx(1.0, abs=1e-9)
     assert a1 * g1 + a2 * gp1 == pytest.approx(0.0, abs=1e-9)
 
