@@ -53,8 +53,9 @@ GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg
         "--case transport --zeta 1e6 --a 1", "--case transport --zeta 128 --a inf",
         "--config ../robin-inlet.cfg"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
-            "--case backstepping --c 2 --D 0.5 --modes 16",
+            "--case backstepping --c 2 --D 0.5 --modes 16", "--modes 8",
             *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"]]
+SWEEP = ["--advection-form legacy --output fig1.csv"]
 SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             f"fd --config ../robin-inlet.cfg --x0 steady {ISS}",
             f"fd --case transport --zeta 2 --a 1 --x0 steady {ISS}",
@@ -67,9 +68,11 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "closed-loop --resolution 32 --output cl.csv", f"closed-loop --resolution 64 {ISS}",
             "closed-loop --resolution 200 --disturbance smoothed-step --output cl.csv",
             "closed-loop --plant-p 50 --c 2 --output cl.csv",
-            "spectral", "spectral --config ../robin.cfg", "spectral --config ../robin-inlet.cfg"]
+            "spectral", "spectral --config ../robin.cfg", "spectral --config ../robin-inlet.cfg",
+            f"fd --config ../y.cfg {ISS}", f"spectral --config ../y.cfg {ISS}",
+            "spectral --modes 8", f"lifted --modes 8 {ISS}"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
-            + [f"simulate --solver {a}" for a in SIMULATE])
+            + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)", re.I)
 

@@ -53,7 +53,6 @@ class Kernel:
                                   # weighted @ f is integral_{z_i}^1 k(z_i,s) f(s) ds
     norm: float                   # sqrt(int_0^1 int_z^1 k^2 ds dz)
     lam_bar: float
-    direction: str                # "forward" | "inverse"
 
     @property
     def resolution(self) -> int:
@@ -83,32 +82,28 @@ class ClosedLoopConfig:
         return (self.p + self.c) / self.D
 
 
-def _checked_kernel(lam: float, resolution: int, direction: str) -> Kernel:
-    if resolution < 32:
-        raise ValueError("kernel resolution must be >= 32")
-    if resolution % 2:
-        raise ValueError("kernel resolution must be even")
-    return bessel_kernel(lam, resolution, direction)
-
-
 def solve_kernel(cfg: ClosedLoopConfig, resolution: int = 256) -> Kernel:
     """Forward kernel of the stabilizing transform (closed form at lam_bar)."""
-    return _checked_kernel(cfg.lam_bar, resolution, "forward")
+    return bessel_kernel(cfg.lam_bar, resolution)
 
 
 def solve_inverse_kernel(cfg: ClosedLoopConfig, resolution: int = 256) -> Kernel:
     """Inverse kernel: the same closed form with the opposite sign of lam."""
-    return _checked_kernel(-cfg.lam_bar, resolution, "inverse")
+    return bessel_kernel(-cfg.lam_bar, resolution)
 
 
-def bessel_kernel(lam: float, resolution: int = 256, direction: str = "forward") -> Kernel:
-    """Closed-form constant-coefficient kernel.
+def bessel_kernel(lam: float, resolution: int = 256) -> Kernel:
+    """Closed-form constant-coefficient kernel on an even resolution >= 32.
 
     k(z,s) = lam (1-s) f(xi)/xi with xi = sqrt(|lam| ((1-z)^2 - (1-s)^2)) and
     f = I1 for lam > 0, J1 for lam < 0.  Raises :class:`NumericalFailure`
     when the samples or their norm overflow double precision (I1 does so
     once xi passes about 713, i.e. lam beyond about 5e5).
     """
+    if resolution < 32:
+        raise ValueError("kernel resolution must be >= 32")
+    if resolution % 2:
+        raise ValueError("kernel resolution must be even")
     grid = uniform_grid(resolution)
     z = grid[:, None]
     s = grid[None, :]
@@ -129,7 +124,7 @@ def bessel_kernel(lam: float, resolution: int = 256, direction: str = "forward")
     if not (np.all(np.isfinite(values)) and math.isfinite(norm)):
         raise NumericalFailure(
             f"kernel at lam_bar = {lam:.6g} overflows double precision")
-    return Kernel(grid, values, weighted, norm, lam, direction)
+    return Kernel(grid, values, weighted, norm, lam)
 
 
 def apply_transform(kernel: Kernel, f: GridFunction) -> GridFunction:
@@ -204,10 +199,10 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
 
 
 def closed_loop_bound(cfg: ClosedLoopConfig, kernel_norm: float,
-                      inverse_norm: float, N: int = 10_000) -> IssEnvelope:
+                      inverse_norm: float) -> IssEnvelope:
     """Envelope of the closed loop: overshoot (1+||l||)(1+||k||) sqrt(1+eps),
-    decay c + D pi^2, gain (1+||l||) sqrt(1+1/eps) G."""
-    g = backstepping_gain(cfg.c, cfg.D, N).gain_C
+    decay c + D pi^2, gain (1+||l||) sqrt(1+1/eps) G, G the closed form."""
+    g = backstepping_gain(cfg.c, cfg.D).gain_C
     return IssEnvelope(decay_rate=cfg.c + cfg.D * math.pi ** 2,
                        gain_base=(1.0 + inverse_norm) * g,
                        overshoot_base=(1.0 + inverse_norm) * (1.0 + kernel_norm))

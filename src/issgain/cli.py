@@ -49,7 +49,7 @@ from .backstepping import (
     solve_inverse_kernel,
     solve_kernel,
 )
-from .sturm_liouville import check_hypothesis_H, solve_spectrum, solve_steady_bvp
+from .sturm_liouville import solve_spectrum, solve_steady_bvp
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,7 +173,7 @@ def _initial_state(args, problem, d0: float) -> GridFunction:
 def cmd_spectrum(args) -> int:
     problem = _problem_from_args(args)
     spectrum = solve_spectrum(problem, args.modes)
-    report = check_hypothesis_H(spectrum, problem) if args.modes >= 10 else None
+    report = spectrum.hypothesis
     csvio.write_csv(csvio.spectrum_header(spectrum), csvio.spectrum_rows(spectrum),
                     args.output)
     sink = sys.stderr if args.output in (None, "-") else sys.stdout
@@ -185,13 +185,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gain(args) -> int:
+    if args.N < 1:
+        raise ConfigError(f"--N must be at least 1, got {args.N}")
     # closed forms serve the named cases; a config or a --q override takes series + BVP
     if args.config or args.q is not None:
         problem = _problem_from_args(args)
         spectrum = solve_spectrum(problem, args.modes)
         main_report = gain_series(problem, spectrum, args.modes)
-        # gain_series has certified the spectrum already
-        bvp = gain_bvp(problem, spectrum=spectrum, require_certified=False)
+        bvp = gain_bvp(problem, spectrum=spectrum)
         rows = [("series_tail_corrected", main_report.tail_corrected),
                 ("bvp_integral", bvp.gain_C)]
     else:
@@ -242,7 +243,8 @@ def _verify_from_args(args, problem, traj, spectrum, closed_loop) -> int:
     """Check the envelope on ``traj``, reusing the command's spectrum or closed loop."""
     eps = tuple(float(e) for e in args.eps.split(","))
     if args.solver == "advection":
-        v, k, d_ref = args.v, args.k, args.weight_D or args.D
+        v, k = args.v, args.k
+        d_ref = args.D if args.weight_D is None else args.weight_D
         envelope = IssEnvelope(decay_rate=k + v * v / (2.0 * d_ref),
                                gain_base=advection_gain(v, d_ref, k),
                                epsilon_dependent=False, max_window=1.0 / v)
@@ -251,9 +253,7 @@ def _verify_from_args(args, problem, traj, spectrum, closed_loop) -> int:
         envelope = closed_loop_bound(cfg, closed_loop.kernel.norm,
                                      closed_loop.inverse_kernel.norm)
     else:
-        # the spectral and lifted simulators have certified their spectrum already
-        envelope = IssEnvelope.from_gain_report(
-            gain_bvp(problem, spectrum=spectrum, require_certified=spectrum is None))
+        envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
     csvio.write_csv(csvio.ISS_HEADER, report.rows(), args.iss_output)
     return 0 if report.passed else 2
@@ -267,6 +267,10 @@ def cmd_simulate(args) -> int:
     if args.solver == "advection":
         if not args.v > 0:
             raise ConfigError(f"--v must be positive for the advection solver, got {args.v}")
+        for flag, value in (("--D", args.D), ("--weight-D", args.weight_D)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{flag} must be finite and positive for the advection "
+                                  f"solver, got {value}")
         if args.disturbance == "sinusoid" and args.phase == 0.0:
             # cosine start satisfies d'(0) = 0, matching the default profile below
             d = DisturbanceSignal.sinusoid(args.amplitude, args.omega, math.pi / 2.0)
@@ -275,7 +279,8 @@ def cmd_simulate(args) -> int:
         y0 = lambda z: d0 * np.exp(-k_over_v * np.asarray(z))
         traj = advection_exact(args.v, args.k, d, y0, args.T,
                                resolution=args.resolution,
-                               weight_D=args.weight_D or args.D, n_store=args.store)
+                               weight_D=args.D if args.weight_D is None else args.weight_D,
+                               n_store=args.store)
     elif args.solver == "closed-loop":
         cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c, d=d)
         kernel = solve_kernel(cfg, args.resolution)

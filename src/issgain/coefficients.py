@@ -34,7 +34,9 @@ class Coefficient:
             raise ValueError("table needs matching 1-D arrays with >= 8 samples")
         # imported here, not at the top: it adds ~250 ms to every start-up
         from scipy.interpolate import CubicSpline
-        spline = CubicSpline(grid, values)
+        # an overflowing spline samples as inf or nan, which build_problem rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            spline = CubicSpline(grid, values)
         return cls("table", _spline=spline)
 
     @classmethod

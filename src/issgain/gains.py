@@ -26,16 +26,17 @@ from scipy.special import polygamma
 
 from .errors import InadmissibleCase, UncertifiedHypothesis
 from .sturm_liouville import (
+    HYPOTHESIS_MIN_MODES,
     SLProblem,
     Spectrum,
     _power_law_tail,
-    check_hypothesis_H,
     solve_spectrum,
     solve_steady_bvp,
     weighted_norm,
 )
 
 DEFAULT_SERIES_N = 10_000
+SWEEP_EXITS = (0.0, 1.0, math.inf)    # the exit parameters a of SweepTable.HEADER
 
 _PI2 = math.pi ** 2
 _PI4 = math.pi ** 4
@@ -102,12 +103,8 @@ class TransportCase:
         return cls(D=D, v=2.0 * D * zeta, k=0.0, a=a)
 
     @property
-    def discriminant(self) -> float:
-        return self.v ** 2 + 4.0 * self.k * self.D
-
-    @property
     def zeta(self) -> float:
-        disc = self.discriminant
+        disc = self.v ** 2 + 4.0 * self.k * self.D
         if disc < 0:
             raise InadmissibleCase(
                 f"k > -v^2/(4D) required for a real zeta (k={self.k}, v={self.v}, D={self.D})")
@@ -271,12 +268,14 @@ def advection_gain(v: float, D: float, k: float = 0.0,
 # generic series / BVP routes
 
 
-def _certify(problem: SLProblem, spectrum: Spectrum):
-    report = check_hypothesis_H(spectrum, problem)
+def _certify(spectrum: Spectrum):
+    """Raise unless the spectrum carries a certified hypothesis report."""
+    report = spectrum.hypothesis
+    if report is None:
+        raise ValueError(f"hypothesis check needs at least {HYPOTHESIS_MIN_MODES} computed modes")
     if not report.certified:
         raise UncertifiedHypothesis(
             f"hypothesis not certified (lambda1={report.lambda1:.6g}, method={report.method})")
-    return report
 
 
 def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
@@ -292,7 +291,7 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
     """
     if N < 0 or N > spectrum.n_modes:
         raise ValueError("need 0 <= N <= number of computed modes")
-    _certify(problem, spectrum)
+    _certify(spectrum)
     s = problem.boundary_norm
     b1n, b2n = problem.b1 / s, problem.b2 / s
     p0 = float(problem.p(np.zeros(1))[0])
@@ -313,8 +312,7 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
 
 
 def gain_bvp(problem: SLProblem, epsilon: float = 1.0,
-             spectrum: Spectrum | None = None,
-             require_certified: bool = True) -> GainReport:
+             spectrum: Spectrum | None = None) -> GainReport:
     """Integral route: C = || xtilde ||_r with datum sqrt(b1^2+b2^2).
 
     The squared norm is Richardson-extrapolated across the grid and its
@@ -322,8 +320,7 @@ def gain_bvp(problem: SLProblem, epsilon: float = 1.0,
     """
     if spectrum is None:
         spectrum = solve_spectrum(problem, min(16, max(10, problem.resolution // 8)))
-    if require_certified:
-        _certify(problem, spectrum)
+    _certify(spectrum)
     bv = problem.boundary_norm
     x1 = solve_steady_bvp(problem, bv)
     s1 = weighted_norm(x1, problem) ** 2
@@ -341,7 +338,7 @@ def gain_bvp(problem: SLProblem, epsilon: float = 1.0,
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Gain comparison over a zeta grid at k = 0."""
+    """Gain comparison over a zeta grid at k = 0, one column per exit parameter a."""
 
     zetas: np.ndarray
     a_values: tuple
@@ -380,25 +377,21 @@ class SweepTable:
         return [(float(self.zetas[nz[i]]), float(self.zetas[nz[i + 1]])) for i in idx]
 
 
-def sweep_figure1(zeta_grid, a_values=(0.0, 1.0, math.inf), k: float = 0.0,
-                  N: int = DEFAULT_SERIES_N,
-                  advection_form: str = "derivation") -> SweepTable:
-    """Gain columns G(zeta, a) plus the advection gain over a zeta grid.
+def sweep_figure1(zeta_grid, advection_form: str = "derivation") -> SweepTable:
+    """Gain columns G(zeta, a), a in ``SWEEP_EXITS``, plus the advection gain over
+    a zeta grid.
 
-    Only k = 0 is supported: for k = 0 the parameter l = 2D/(v pi^2) of the
-    advection estimate reduces to 1/(pi^2 zeta) and the advection argument is
-    a function of zeta alone; for k != 0 it would depend on v and D
-    separately.
+    The sweep is at k = 0, where the parameter l = 2D/(v pi^2) of the advection
+    estimate reduces to 1/(pi^2 zeta) and the advection argument is a function
+    of zeta alone; for k != 0 it would depend on v and D separately.
     """
-    if k != 0.0:
-        raise ValueError("sweep supports k = 0 only (see docstring)")
     zetas = np.asarray(zeta_grid, dtype=float)
-    if np.any(zetas <= 0):
-        raise ValueError("zeta grid must be positive")
+    if not np.all(np.isfinite(zetas) & (zetas > 0)):
+        raise ValueError("zeta grid must be finite and positive")
     g_cols = {
         a: np.array([transport_gain_closed(z, a) for z in zetas])
-        for a in a_values
+        for a in SWEEP_EXITS
     }
     adv = np.array([advection_gain(v=2.0 * z, D=1.0, k=0.0, form=advection_form)
                     for z in zetas])
-    return SweepTable(zetas, tuple(a_values), g_cols, adv, advection_form)
+    return SweepTable(zetas, SWEEP_EXITS, g_cols, adv, advection_form)

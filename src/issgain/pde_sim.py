@@ -219,10 +219,8 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
     *cn_lu, info = dgttrf(-half * sub, 1.0 - half * diag, -half * sup)
     if info != 0:
         raise NumericalFailure(f"Crank-Nicolson matrix is singular at dt = {dt:.6g}")
-    coupling = half * load
-    if feedback is None:
-        inlet_terms = coupling * (inlet[:-1] + inlet[1:])
-    else:
+    coupling = float(half * load)
+    if feedback is not None:
         feedback = feedback[lo:hi + 1]
         e1 = np.zeros(diag.size)
         e1[0] = 1.0
@@ -231,22 +229,20 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
 
     rows = np.empty((store_at.size, diag.size))
     u_stored = inlet[store_at]
+    inlet = inlet.tolist()        # Python floats: numpy's bits at less cost per scalar step
     x, u = x0[lo:hi + 1].copy(), inlet[0]
     rows[0] = x                               # step 0 is always stored
     for k in range(1, store_at.size):
         for step in range(store_at[k - 1], store_at[k]):
             rhs = x + half * _tridiagonal_apply(sub, diag, sup, x)
-            if feedback is None:
-                rhs[0] += inlet_terms[step]
-                x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
-            else:
-                rhs[0] += coupling * (u + inlet[step + 1])
-                x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
+            rhs[0] += coupling * (u + inlet[step + 1])
+            x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
+            u = inlet[step + 1]
+            if feedback is not None:
                 x = x - (coupling * float(feedback @ x) / sm_denom) * x_e1
-                u = inlet[step + 1] - float(feedback @ x)
+                u -= float(feedback @ x)
         rows[k] = x
-        if feedback is not None:
-            u_stored[k] = u
+        u_stored[k] = u
     return _on_grid(problem, rows, u_stored, lo), u_stored
 
 
@@ -279,20 +275,26 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
 # spectral routes
 
 
-def _modal_run(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
-               x0: GridFunction, T: float, N: int, n_store: int,
-               coupling: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stored times and coefficients c_n = <phi_n, x>_r of the first N modes.
+def _lifted_modal(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
+                  x0: GridFunction, T: float, N: int, n_store: int,
+                  g: np.ndarray, image: np.ndarray, method: str) -> Trajectory:
+    """Modal run of x = y + (d/s) g for a lift g with datum s and image A g.
 
-    Each mode follows c_n' = -lambda_n c_n + coupling_n d(t), so per stored
-    interval c(t_i) = e^{-lambda dt} c(t_{i-1}) + coupling * integral
-    e^{-lambda (t_i - s)} d(s) ds.  One ``exp_convolution`` call gives the
-    convolutions over all stored intervals; only the recurrence is a loop.
+    The coefficients c_n = <phi_n, x>_r of the first N modes follow c_n' = -lambda_n
+    c_n + coupling_n d(t), coupling_n = (<phi_n, A g>_r + lambda_n <phi_n, g>_r)/s by
+    Green's identity; one ``exp_convolution`` call integrates every stored interval.
+    x = sum c_n phi_n + (d/s)(g - P_N g), P_N the projection onto the first N modes.
+    An incompatible x0 is projected along the cubic, as in ``simulate_fd``.
     """
+    x0 = _check_compatibility(problem, x0, d, stacklevel=4)    # warn at the route's caller
     if N < 1 or N > spectrum.n_modes:
         raise ValueError("need 1 <= N <= number of computed modes")
     require_same_grid(x0, problem.grid)
     times = _store_times(T, n_store)
+    s = problem.boundary_norm
+    g_coeffs = fourier_coefficients(GridFunction(problem.grid, g), spectrum, problem)
+    a_coeffs = fourier_coefficients(GridFunction(problem.grid, image), spectrum, problem)
+    coupling = (a_coeffs + spectrum.eigenvalues * g_coeffs) / s
     lam = spectrum.eigenvalues[:N]
     decays = np.exp(-lam * np.diff(times)[:, None])
     inputs = coupling[:N] * d.exp_convolution(lam, times[:-1], times[1:])
@@ -300,25 +302,6 @@ def _modal_run(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
     coeffs[0] = fourier_coefficients(x0, spectrum, problem)[:N]
     for i in range(1, times.size):
         coeffs[i] = decays[i - 1] * coeffs[i - 1] + inputs[i - 1]
-    return times, coeffs
-
-
-def _lifted_modal(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
-                  x0: GridFunction, T: float, N: int, n_store: int,
-                  g: np.ndarray, image: np.ndarray, method: str) -> Trajectory:
-    """Modal run of x = y + (d/s) g for a lift g with datum s and image A g.
-
-    Mode n couples to d through Green's identity, (<phi_n, A g>_r +
-    lambda_n <phi_n, g>_r)/s, and x = sum c_n phi_n + (d/s)(g - P_N g), P_N
-    the projection onto the first N modes.  An incompatible x0 is projected
-    along the cubic, as in ``simulate_fd``.
-    """
-    x0 = _check_compatibility(problem, x0, d, stacklevel=4)    # warn at the route's caller
-    s = problem.boundary_norm
-    g_coeffs = fourier_coefficients(GridFunction(problem.grid, g), spectrum, problem)
-    a_coeffs = fourier_coefficients(GridFunction(problem.grid, image), spectrum, problem)
-    coupling = (a_coeffs + spectrum.eigenvalues * g_coeffs) / s
-    times, coeffs = _modal_run(problem, spectrum, d, x0, T, N, n_store, coupling)
     phi = spectrum.eigenfunctions[:N]
     d_values = np.asarray(d.value(times))
     values = coeffs @ phi + np.outer(d_values / s, g - g_coeffs[:N] @ phi)
@@ -326,7 +309,7 @@ def _lifted_modal(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
     return Trajectory(times, values, problem.grid, norms, d, d_values, method,
                       times[1] - times[0],
                       extras={"coefficients": coeffs, "coupling": coupling[:N],
-                              "eigenvalues": spectrum.eigenvalues[:N]})
+                              "eigenvalues": lam})
 
 
 def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
@@ -337,7 +320,7 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
     so mode n couples through lambda_n <phi_n, x~>_r/s, and adding back (d/s)(x~ -
     P_N x~), the quasi-static part the kept modes miss (mode acceleration), makes x
     meet the inlet datum."""
-    _certify(problem, spectrum)
+    _certify(spectrum)
     steady = solve_steady_bvp(problem, problem.boundary_norm).values
     return _lifted_modal(problem, spectrum, d, x0, T, N, n_store, steady,
                          np.zeros_like(steady), "spectral")
@@ -348,7 +331,7 @@ def simulate_via_lifting(problem: SLProblem, spectrum: Spectrum, d: DisturbanceS
                          n_store: int = DEFAULT_STORE) -> Trajectory:
     """The modal run of :func:`simulate_spectral`, lifted instead by the cubic g
     of :func:`lift_disturbance` (A g is not 0); a cross-check of ``simulate_fd``."""
-    _certify(problem, spectrum)
+    _certify(spectrum)
     lifting = lift_disturbance(problem)
     return _lifted_modal(problem, spectrum, d, x0, T, N, n_store, lifting.g.values,
                          lifting.forcing_A, "lifted-spectral")
@@ -392,8 +375,7 @@ def advection_exact(v: float, k: float, d: DisturbanceSignal, y0,
         vals[behind] = np.exp(-k * grid[behind] / v) * d.value(t - grid[behind] / v)
     d_values = np.asarray(d.value(times))
     return Trajectory(times, values, grid, simpson_norms(values, h, weight), d, d_values,
-                      "advection-exact", times[1] - times[0],
-                      extras={"v": v, "k": k, "weight_D": weight_D})
+                      "advection-exact", times[1] - times[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +434,10 @@ def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
     if isinstance(envelope, GainReport):
         envelope = IssEnvelope.from_gain_report(envelope)
     envelope.validate()
-    if envelope.epsilon_dependent and any(e <= 0 for e in epsilons):
-        raise ValueError("epsilon values must be positive")
+    if envelope.epsilon_dependent and not all(math.isfinite(e) and e > 0 for e in epsilons):
+        raise ValueError(f"epsilon values must be finite and positive, got {tuple(epsilons)}")
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be finite and nonnegative, got {slack}")
     norm0 = traj.norms[0]
     maxd = _running_max_abs(traj.disturbance, traj.times, envelope.max_window)
     decay = np.exp(-envelope.decay_rate * traj.times)

@@ -16,7 +16,7 @@ error term, so extrapolation yields fourth order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -41,6 +41,7 @@ from .grids import (
 )
 
 DEFAULT_RESOLUTION = 256
+HYPOTHESIS_MIN_MODES = 10
 
 # Bound sup|phi_n| <= sqrt(2 pi / (pi - 1)) for sine-type eigenfunctions,
 # valid whenever 2*omega_n >= pi.
@@ -110,7 +111,10 @@ def build_problem(p, q, r, a1, a2, b1, b2, resolution: int = DEFAULT_RESOLUTION)
     grid = uniform_grid(resolution)
     dense = np.linspace(0.0, 1.0, 4 * resolution + 1)
     for name, coeff in (("p", p), ("r", r)):
-        if np.min(coeff(dense)) <= 0.0:
+        samples = coeff(dense)
+        if not np.all(np.isfinite(samples)):
+            raise ConfigError(f"{name}(z) must be finite on [0,1]")
+        if np.min(samples) <= 0.0:
             raise NonPositiveCoefficient(f"{name}(z) must be strictly positive on [0,1]")
     if not np.all(np.isfinite(q(grid))):
         raise ValueError("q(z) must be finite")
@@ -122,7 +126,8 @@ class Spectrum:
     """First eigenpairs, ordered increasingly, normalized to ||phi||_r = 1.
 
     ``eigenfunctions`` has shape (n_modes, n_nodes).  Sign convention: the
-    first nonzero of (phi(0), phi'(0)) is positive.
+    first nonzero of (phi(0), phi'(0)) is positive.  ``hypothesis`` is the
+    :func:`check_hypothesis_H` report, None below ``HYPOTHESIS_MIN_MODES`` modes.
     """
 
     eigenvalues: np.ndarray
@@ -130,6 +135,7 @@ class Spectrum:
     derivatives_at_0: np.ndarray
     values_at_0: np.ndarray
     grid: np.ndarray
+    hypothesis: HypothesisReport | None = None
 
     @property
     def n_modes(self) -> int:
@@ -204,7 +210,8 @@ def _solve_raw_spectrum(problem: SLProblem, resolution: int, n_modes: int):
 
 
 def solve_spectrum(problem: SLProblem, n_modes: int) -> Spectrum:
-    """First ``n_modes`` eigenpairs with two-grid Richardson extrapolation.
+    """First ``n_modes`` eigenpairs with two-grid Richardson extrapolation,
+    certified by :func:`check_hypothesis_H` from ``HYPOTHESIS_MIN_MODES`` modes up.
 
     Raises :class:`ConvergenceFailure` when the grid cannot resolve the
     requested modes or the two-grid eigenvalue estimates disagree badly.
@@ -253,7 +260,9 @@ def solve_spectrum(problem: SLProblem, n_modes: int) -> Spectrum:
     v0 = phi[:, 0]
 
     order = np.argsort(lam)
-    return Spectrum(lam[order], phi[order], d0[order], v0[order], problem.grid.copy())
+    spectrum = Spectrum(lam[order], phi[order], d0[order], v0[order], problem.grid.copy())
+    report = check_hypothesis_H(spectrum, problem) if n_modes >= HYPOTHESIS_MIN_MODES else None
+    return replace(spectrum, hypothesis=report)
 
 
 def _tail_constant_coefficients(problem: SLProblem, n_from: int) -> float:
@@ -312,8 +321,8 @@ def check_hypothesis_H(spectrum: Spectrum, problem: SLProblem) -> HypothesisRepo
     constant-coefficient problems; otherwise a heuristic power-law fit is
     reported and the hypothesis is left uncertified.
     """
-    if spectrum.n_modes < 10:
-        raise ValueError("hypothesis check needs at least 10 computed modes")
+    if spectrum.n_modes < HYPOTHESIS_MIN_MODES:
+        raise ValueError(f"hypothesis check needs at least {HYPOTHESIS_MIN_MODES} computed modes")
     lam = spectrum.eigenvalues
     lambda1 = float(lam[0])
     positive = lambda1 > 0.0

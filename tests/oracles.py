@@ -7,10 +7,19 @@ identity K + L + K L = 0 of a mutually inverse pair of backstepping kernels.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from issgain import Kernel, Spectrum, TransportCase, mu_roots, uniform_grid
+from issgain import (
+    Kernel,
+    Spectrum,
+    TransportCase,
+    check_hypothesis_H,
+    mu_roots,
+    transport_problem,
+    uniform_grid,
+)
 from issgain.errors import GridMismatch
 from issgain.grids import simpson_weights
 
@@ -21,7 +30,8 @@ def analytic_transport_spectrum(case: TransportCase, n_modes: int,
 
     Used where large mode counts are needed (deep series partial sums,
     high-accuracy references); the finite-difference route in
-    :mod:`issgain.sturm_liouville` stays independent of it.
+    :mod:`issgain.sturm_liouville` stays independent of it.  From 10 modes up it
+    carries the hypothesis report of its transport problem, as a solved spectrum does.
     """
     ns = np.arange(1, n_modes + 1, dtype=float)
     mu = mu_roots(ns, case.a)
@@ -31,9 +41,13 @@ def analytic_transport_spectrum(case: TransportCase, n_modes: int,
     amp = np.sqrt(2.0 / (1.0 - sinc))
     grid = uniform_grid(resolution)
     phi = amp[:, None] * np.sin(omega[:, None] * grid[None, :])
-    return Spectrum(eigenvalues=lam, eigenfunctions=phi,
-                    derivatives_at_0=amp * omega,
-                    values_at_0=np.zeros_like(lam), grid=grid)
+    spectrum = Spectrum(eigenvalues=lam, eigenfunctions=phi,
+                        derivatives_at_0=amp * omega,
+                        values_at_0=np.zeros_like(lam), grid=grid)
+    if n_modes < 10:
+        return spectrum
+    problem = transport_problem(case.D, case.v, case.k, case.a, resolution=resolution)
+    return replace(spectrum, hypothesis=check_hypothesis_H(spectrum, problem))
 
 
 def steady_state_coefficients(zeta: float, a: float) -> tuple[float, float]:

@@ -135,7 +135,7 @@ class TestKernels:
 
     def test_inverse_matches_negative_lam_bessel(self, kernels_lam5):
         _, inverse = kernels_lam5
-        oracle = bessel_kernel(-5.0, 256, "inverse")
+        oracle = bessel_kernel(-5.0, 256)
         assert np.max(np.abs(inverse.values - oracle.values)) < 1e-10
 
     def test_diagonal_and_edge_conditions(self, kernels_lam5):

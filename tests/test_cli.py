@@ -244,6 +244,20 @@ class TestGainCommand:
             "p/(r h^2) exceeds the floating-point range; reduce p or the resolution"]
 
 
+    def test_overflowing_table_names_p(self, tmp_path):
+        # the spline through a 1e306 spike overflows: p is named, with no RuntimeWarning
+        table = tmp_path / "spike.csv"
+        table.write_text("z,p,q,r\n" + "".join(
+            f"{z / 10},{1e306 if z == 5 else 1},1,1\n" for z in range(11)))
+        cfg = tmp_path / "spike.cfg"
+        cfg.write_text(f"schema = issgain/1\nkind = table\ntable = {table}\n"
+                       "a1 = 1\na2 = 0\nb1 = 1\nb2 = 0\n")
+        proc = run_python("import sys; from issgain.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", "gain", "--config", str(cfg))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["config error: p(z) must be finite on [0,1]"]
+
+
 class TestSweepCommand:
     def test_default_properties(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
@@ -374,12 +388,12 @@ class TestSimulateCommand:
     ])
     def test_certifies_once_per_command(self, tmp_path, monkeypatch, argv):
         calls = []
-        original = issgain.gains.check_hypothesis_H
+        original = issgain.sturm_liouville.check_hypothesis_H
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
-        monkeypatch.setattr(issgain.gains, "check_hypothesis_H", counted)
+        monkeypatch.setattr(issgain.sturm_liouville, "check_hypothesis_H", counted)
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(CONFIG_OK)
         argv = [str(cfg) if a == "CONFIG" else a for a in argv]
@@ -426,7 +440,12 @@ class TestRejectedInputs:
         ["simulate", "--solver", "spectral", "--store", "0"],
         ["simulate", "--solver", "lifted", "--store", "-3"],
         ["simulate", "--solver", "advection", "--v", "0"],
+        ["simulate", "--solver", "advection", "--D", "0", "--v", "1", "--verify-iss"],
+        ["simulate", "--solver", "advection", "--weight-D", "0"],
+        ["simulate", "--solver", "advection", "--weight-D", "nan"],
         ["sweep-fig1", "--points", "0"],
+        ["sweep-fig1", "--zeta-min", "nan"],
+        ["sweep-fig1", "--zeta-max", "inf"],
         ["simulate", "--solver", "closed-loop", "--plant-p", "nan"],
         ["simulate", "--solver", "closed-loop", "--D", "inf"],
     ])
@@ -462,6 +481,28 @@ class TestRejectedInputs:
         assert err.startswith(f"config error: {flag[2:]} must be finite and positive")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eps", "nan", "epsilon values must be finite and positive"),
+        ("--eps", "0.1,inf", "epsilon values must be finite and positive"),
+        ("--slack", "nan", "slack must be finite and nonnegative"),
+        ("--slack", "-1", "slack must be finite and nonnegative"),
+    ])
+    def test_iss_settings(self, tmp_path, capsys, flag, value, message):
+        iss = tmp_path / "iss.csv"
+        assert main(["simulate", "--solver", "fd", "--T", "0.2", f"{flag}={value}",
+                     "--output", str(tmp_path / "out.csv"), "--verify-iss",
+                     "--iss-output", str(iss)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert not iss.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_series_length_below_one(self, capsys, n):
+        assert main(["gain", "--case", "transport", "--zeta", "2", "--a", "1", "--N", n]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --N must be at least 1, got {n}\n"
+        assert captured.out == ""
 
     def test_step_count_overflow(self, tmp_path, capsys):
         assert main(["simulate", "--solver", "fd", "--dt", "1e-320",

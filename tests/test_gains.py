@@ -239,10 +239,6 @@ class TestSweep:
         # +, 0, +, +, + touches zero without changing sign
         assert touch.crossovers(math.inf) == []
 
-    def test_k_nonzero_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_figure1(np.array([1.0]), k=0.5)
-
     def test_steady_state_coefficients_match_profile(self):
         c1, c2 = steady_state_coefficients(1.0, 1.0)
         assert c1 == pytest.approx(0.0, abs=1e-15)

@@ -10,6 +10,7 @@ import issgain.disturbances as disturbances
 import issgain.pde_sim as pde_sim
 import issgain.sturm_liouville
 from issgain import (
+    ClosedLoopConfig,
     CompatibilityWarning,
     DisturbanceSignal,
     GridFunction,
@@ -17,6 +18,7 @@ from issgain import (
     MissingEnvelopeParameters,
     NumericalFailure,
     SingularBVP,
+    SmoothnessWarning,
     StabilityWarning,
     Trajectory,
     TransportCase,
@@ -26,6 +28,7 @@ from issgain import (
     build_problem,
     gain_bvp,
     lift_disturbance,
+    simulate_closed_loop,
     simulate_fd,
     simulate_spectral,
     simulate_via_lifting,
@@ -513,6 +516,29 @@ class TestCrankNicolsonLoop:
         assert np.array_equal(open_loop[0], zero_row[0])
         assert np.array_equal(open_loop[1], zero_row[1])
         assert np.array_equal(open_loop[1], inlet[store_at])
+
+    @pytest.mark.parametrize("route", ["fd", "closed-loop"])
+    def test_superposition_from_rest(self, transport_case_problem, route):
+        # x0 = 0 and d(0) = 0: the runs of d1, d2 and d1 + d2 through the one step
+        # body add up; d1 + d2 is tabulated on the step grid, where it interpolates
+        dt, T = 1e-3, 0.5
+        n_steps, dt_run = pde_sim._time_steps(dt, T)
+        steps = dt_run * np.arange(n_steps + 1)
+        d1 = DisturbanceSignal.sinusoid(1.0, 3.0)
+        d2 = DisturbanceSignal.smoothed_step(2.0, 0.3)
+        with pytest.warns(SmoothnessWarning):
+            d12 = DisturbanceSignal.tabulated(steps, d1.value(steps) + d2.value(steps))
+        grid = transport_case_problem.grid
+        x0 = GridFunction(grid, np.zeros_like(grid))
+
+        def run(d):
+            if route == "fd":
+                return simulate_fd(transport_case_problem, d, x0, dt, T, n_store=50).values
+            cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=d)
+            return simulate_closed_loop(cfg, x0, dt, T, n_store=50).y.values
+
+        x1, x2, x12 = run(d1), run(d2), run(d12)
+        assert np.max(np.abs(x1 + x2 - x12)) <= 1e-12 * np.max(np.abs(x12))
 
 
 def transport_tube(zeta, a):

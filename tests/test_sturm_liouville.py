@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ class TestBuildProblem:
             build_problem(-1.0, 0.0, 1.0, 1, 0, 1, 0)
         with pytest.raises(NonPositiveCoefficient):
             build_problem(1.0, 0.0, 0.0, 1, 0, 1, 0)
+
+    def test_overflowing_table_spline_rejected_as_p(self):
+        # a table p that spikes to 1e306 mid-interval makes the spline overflow to
+        # inf and nan samples; p is named, before any operator row is built
+        z = np.linspace(0.0, 1.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = Coefficient.table(z, np.where(np.abs(z - 0.5) < 0.01, 1e306, 1.0))
+            with pytest.raises(ConfigError, match=r"^p\(z\) must be finite"):
+                build_problem(p, 1.0, 1.0, 1, 0, 1, 0)
 
     def test_degenerate_boundary(self):
         with pytest.raises(DegenerateBoundary):
@@ -162,6 +173,19 @@ class TestHypothesis:
         with pytest.raises(ValueError):
             check_hypothesis_H(spec, laplacian_problem)
 
+    @pytest.mark.parametrize("problem", [
+        build_problem(1.0, 0.0, 1.0, 1, 0, 1, 0, 256),
+        build_problem(1.0, -20.0, 1.0, 1, 0, 1, 0, 256),
+        transport_problem(1.0, 2.0, 0.3, 1.0, form="y", resolution=256),
+    ], ids=["laplacian", "negative-potential", "form-y"])
+    @pytest.mark.parametrize("n_modes", [6, 9, 10, 16])
+    def test_solved_spectrum_carries_its_report(self, problem, n_modes):
+        spec = solve_spectrum(problem, n_modes)
+        if n_modes < 10:
+            assert spec.hypothesis is None
+        else:
+            assert spec.hypothesis == check_hypothesis_H(spec, problem)
+
 
 class TestSteadyBVP:
     def test_laplacian_linear_profile(self, laplacian_problem):
@@ -189,12 +213,9 @@ class TestSteadyBVP:
         assert steady_bvp_residual(prob, x, datum) <= 1e-12
 
     def test_non_finite_system_rejected(self):
-        # p spikes to 1e306 mid-interval: the interior stiffness rows overflow
-        z = np.linspace(0.0, 1.0, 11)
-        with np.errstate(all="ignore"):
-            p = Coefficient.table(z, np.where(np.abs(z - 0.5) < 0.01, 1e306, 1.0))
+        # p = 1e306 is finite, but the interior stiffness rows 2p/h overflow
         with pytest.raises(ConfigError, match="operator row overflows at resolution 256"):
-            solve_steady_bvp(build_problem(p, 1.0, 1.0, 1, 0, 1, 0), 1.0)
+            solve_steady_bvp(build_problem(1e306, 1.0, 1.0, 1, 0, 1, 0), 1.0)
 
     def test_zero_datum_gives_zero(self, transport_case_problem):
         x = solve_steady_bvp(transport_case_problem, 0.0)
