@@ -34,6 +34,7 @@ from .gains import (
 from .grids import GridFunction
 from .pde_sim import (
     IssEnvelope,
+    _require_iss_settings,
     advection_exact,
     lift_disturbance,
     simulate_fd,
@@ -49,7 +50,7 @@ from .backstepping import (
     solve_inverse_kernel,
     solve_kernel,
 )
-from .sturm_liouville import solve_spectrum, solve_steady_bvp
+from .sturm_liouville import build_problem, solve_spectrum, solve_steady_bvp
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,12 +140,9 @@ def _problem_from_args(args):
                 tc = TransportCase.from_zeta(args.zeta, a, D)
                 D, v, k = tc.D, tc.v, tc.k
             problem = transport_problem(D, v, k, a, resolution=args.resolution)
-        elif case == "backstepping":
+        else:                   # "backstepping", the last --case choice
             problem = backstepping_target(args.c, args.D, args.resolution)
-        else:
-            raise ConfigError(f"unknown case {case!r}")
     if getattr(args, "q", None) is not None:
-        from .sturm_liouville import build_problem
         problem = build_problem(problem.p, args.q, problem.r, problem.a1, problem.a2,
                                 problem.b1, problem.b2, problem.resolution)
     return problem
@@ -239,9 +237,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_from_args(args, problem, traj, spectrum, closed_loop) -> int:
+def _verify_from_args(args, eps, problem, traj, spectrum, closed_loop) -> int:
     """Check the envelope on ``traj``, reusing the command's spectrum or closed loop."""
-    eps = tuple(float(e) for e in args.eps.split(","))
     if args.solver == "advection":
         v, k = args.v, args.k
         d_ref = args.D if args.weight_D is None else args.weight_D
@@ -262,12 +259,13 @@ def _verify_from_args(args, problem, traj, spectrum, closed_loop) -> int:
 def cmd_simulate(args) -> int:
     if args.store < 1:
         raise ConfigError(f"--store must be at least 1, got {args.store}")
+    if args.verify_iss:      # settle the ISS settings before any solve or output
+        eps = tuple(float(e) for e in args.eps.split(","))
+        _require_iss_settings(eps, args.slack)
     d = _signal_from_args(args)
     problem = spectrum = closed_loop = None
     if args.solver == "advection":
-        if not args.v > 0:
-            raise ConfigError(f"--v must be positive for the advection solver, got {args.v}")
-        for flag, value in (("--D", args.D), ("--weight-D", args.weight_D)):
+        for flag, value in (("--v", args.v), ("--D", args.D), ("--weight-D", args.weight_D)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{flag} must be finite and positive for the advection "
                                   f"solver, got {value}")
@@ -317,7 +315,7 @@ def cmd_simulate(args) -> int:
     csvio.write_csv(csvio.trajectory_header(traj, args.wide),
                     csvio.trajectory_rows(traj, args.wide), args.output)
     if args.verify_iss:
-        return _verify_from_args(args, problem, traj, spectrum, closed_loop)
+        return _verify_from_args(args, eps, problem, traj, spectrum, closed_loop)
     return 0
 
 

@@ -18,8 +18,6 @@ def fmt(x) -> str:
 def _open_out(where):
     if where is None or where == "-":
         yield sys.stdout
-    elif hasattr(where, "write"):
-        yield where
     else:
         with open(where, "w", newline="\n") as fh:
             yield fh

@@ -13,11 +13,11 @@ class NumericalFailure(IssgainError):
     """Base class for failures of a numerical procedure."""
 
 
-class NonPositiveCoefficient(IssgainError):
+class NonPositiveCoefficient(ConfigError):
     """p or r is not strictly positive at some sample."""
 
 
-class DegenerateBoundary(IssgainError):
+class DegenerateBoundary(ConfigError):
     """|a1|+|a2| = 0 or |b1|+|b2| = 0."""
 
 

@@ -39,7 +39,6 @@ from .sturm_liouville import (
     Spectrum,
     _assemble,
     _on_grid,
-    _tridiagonal_apply,
     fourier_coefficients,
     solve_steady_bvp,
 )
@@ -72,6 +71,8 @@ class Trajectory:
             raise ValueError("values must have shape (number of times, number of nodes)")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
+        if not np.all(np.isfinite(self.norms)):
+            raise ValueError("norms must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -208,9 +209,12 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
     """Crank-Nicolson run of x' = A x + u(t) load e_1, the operator of
     :func:`_semidiscrete_operator` on the active nodes of ``problem``.
 
+    With h = dt/2 and B = I - h A, (I + h A) = 2I - B, so
+    B^{-1}(I + h A) = 2 B^{-1} - I and one step is one tridiagonal solve:
+    y = B^{-1}(2 x_k + h load (u_k + u_{k+1}) e_1), x_{k+1} = y - x_k.
     ``x0`` and ``feedback`` are full-grid rows.  u is ``inlet[step]``, or with a
     ``feedback`` row ``inlet[step] - feedback @ x`` from step 1 on (``inlet[0]`` is
-    u(0)), solved by a Sherman-Morrison correction.  I - (dt/2) A is LU-factored
+    u(0)), solved by a Sherman-Morrison correction of y - x_k.  B is LU-factored
     once; a zero pivot raises :class:`NumericalFailure`.  Returns the full-grid
     states and u at the steps ``store_at``.
     """
@@ -231,15 +235,16 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
     u_stored = inlet[store_at]
     inlet = inlet.tolist()        # Python floats: numpy's bits at less cost per scalar step
     x, u = x0[lo:hi + 1].copy(), inlet[0]
+    rhs = np.empty_like(x)
     rows[0] = x                               # step 0 is always stored
     for k in range(1, store_at.size):
         for step in range(store_at[k - 1], store_at[k]):
-            rhs = x + half * _tridiagonal_apply(sub, diag, sup, x)
+            np.add(x, x, out=rhs)
             rhs[0] += coupling * (u + inlet[step + 1])
-            x = dgttrs(*cn_lu, rhs, overwrite_b=1)[0]
+            np.subtract(dgttrs(*cn_lu, rhs, overwrite_b=1)[0], x, out=x)
             u = inlet[step + 1]
             if feedback is not None:
-                x = x - (coupling * float(feedback @ x) / sm_denom) * x_e1
+                x -= (coupling * float(feedback @ x) / sm_denom) * x_e1
                 u -= float(feedback @ x)
         rows[k] = x
         u_stored[k] = u
@@ -425,6 +430,14 @@ class ISSCheckReport:
                        self.per_epsilon_pass)
 
 
+def _require_iss_settings(epsilons, slack: float):
+    """Reject epsilons that are not finite and positive, or a slack not finite and >= 0."""
+    if not all(math.isfinite(e) and e > 0 for e in epsilons):
+        raise ValueError(f"epsilon values must be finite and positive, got {tuple(epsilons)}")
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be finite and nonnegative, got {slack}")
+
+
 def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
                slack: float = 1e-3) -> ISSCheckReport:
     """Check margins RHS - LHS of an ISS envelope at every stored time.
@@ -434,10 +447,7 @@ def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
     if isinstance(envelope, GainReport):
         envelope = IssEnvelope.from_gain_report(envelope)
     envelope.validate()
-    if envelope.epsilon_dependent and not all(math.isfinite(e) and e > 0 for e in epsilons):
-        raise ValueError(f"epsilon values must be finite and positive, got {tuple(epsilons)}")
-    if not (math.isfinite(slack) and slack >= 0):
-        raise ValueError(f"slack must be finite and nonnegative, got {slack}")
+    _require_iss_settings(epsilons if envelope.epsilon_dependent else (), slack)
     norm0 = traj.norms[0]
     maxd = _running_max_abs(traj.disturbance, traj.times, envelope.max_window)
     decay = np.exp(-envelope.decay_rate * traj.times)

@@ -82,10 +82,9 @@ class SLProblem:
         return build_problem(self.p, self.q, self.r, self.a1, self.a2,
                              self.b1, self.b2, resolution)
 
-    def sample(self, resolution: int | None = None):
-        """Node samples (p, q, r) and midpoint samples of p."""
-        m = self.resolution if resolution is None else resolution
-        grid = uniform_grid(m)
+    def sample(self, resolution: int):
+        """Node samples (p, q, r) and midpoint samples of p at ``resolution``."""
+        grid = uniform_grid(resolution)
         mid = 0.5 * (grid[:-1] + grid[1:])
         return self.p(grid), self.q(grid), self.r(grid), self.p(mid)
 
@@ -350,14 +349,6 @@ def _on_grid(problem: SLProblem, active: np.ndarray, datum, lo: int) -> np.ndarr
     return full
 
 
-def _tridiagonal_apply(sub, diag, sup, x: np.ndarray) -> np.ndarray:
-    """T x for the tridiagonal T with sub-, main and super-diagonal (sub, diag, sup)."""
-    out = diag * x
-    out[:-1] += sup * x[1:]
-    out[1:] += sub * x[:-1]
-    return out
-
-
 def solve_steady_bvp(problem: SLProblem, boundary_value: float) -> GridFunction:
     """Solve ``(p x')' - q x = 0`` with inlet datum and homogeneous exit.
 
@@ -387,7 +378,9 @@ def steady_bvp_residual(problem: SLProblem, x: GridFunction, boundary_value: flo
     """Relative residual of the discrete two-point BVP equations."""
     diag, off, _, inlet, lo, hi = _assemble(problem, x.resolution)
     v = x.values[lo:hi + 1]
-    res = _tridiagonal_apply(off, diag, off, v)
+    res = diag * v
+    res[:-1] += off * v[1:]
+    res[1:] += off * v[:-1]
     res[0] -= inlet * boundary_value
     scale = max(abs(inlet * boundary_value), np.max(np.abs(diag * v)), 1e-30)
     return float(np.max(np.abs(res)) / scale)

@@ -424,8 +424,10 @@ class TestClosedLoop:
         result = simulate_closed_loop(cfg, y0, 1e-3, 0.3, kernel=kernel,
                                       inverse_kernel=inverse, n_store=40)
         rows, uvals = closed_loop_step_oracle(cfg, y0, 1e-3, 0.3, kernel, 40)
-        assert np.array_equal(result.y.values, rows)
-        assert np.array_equal(result.control, uvals)
+        # the folded step 2 B^{-1} y - y rounds differently from the oracle's
+        # B^{-1} (I + hA) y; both feed the same Sherman-Morrison correction
+        assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
+        assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 
     def test_incompatible_initial_state(self):
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(1.0))

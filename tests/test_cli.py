@@ -42,6 +42,12 @@ b1 = 1
 b2 = 0
 """
 
+REJECTED_CONFIGS = {
+    "negative_p.cfg": CONFIG_NEGATIVE_POTENTIAL.replace("p = 1", "p = -1"),
+    "degenerate_exit.cfg": CONFIG_NEGATIVE_POTENTIAL.replace("a1 = 1\na2 = 1",
+                                                             "a1 = 0\na2 = 0"),
+}
+
 CONFIG_FORM_Y = """\
 schema = issgain/1
 kind = transport
@@ -448,8 +454,13 @@ class TestRejectedInputs:
         ["sweep-fig1", "--zeta-max", "inf"],
         ["simulate", "--solver", "closed-loop", "--plant-p", "nan"],
         ["simulate", "--solver", "closed-loop", "--D", "inf"],
+        ["simulate", "--solver", "advection", "--v", "inf"],
+        *(["simulate", "--config", name] for name in sorted(REJECTED_CONFIGS)),
     ])
-    def test_exit_three_without_traceback(self, tmp_path, capsys, argv):
+    def test_exit_three_without_traceback(self, tmp_path, monkeypatch, capsys, argv):
+        for name, text in REJECTED_CONFIGS.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out.csv"
         assert main([*argv, "--output", str(out)]) == 3
         err = capsys.readouterr().err
@@ -489,12 +500,13 @@ class TestRejectedInputs:
         ("--slack", "-1", "slack must be finite and nonnegative"),
     ])
     def test_iss_settings(self, tmp_path, capsys, flag, value, message):
-        iss = tmp_path / "iss.csv"
+        # rejected before the solve: neither the trajectory nor the ISS CSV is written
+        out, iss = tmp_path / "out.csv", tmp_path / "iss.csv"
         assert main(["simulate", "--solver", "fd", "--T", "0.2", f"{flag}={value}",
-                     "--output", str(tmp_path / "out.csv"), "--verify-iss",
-                     "--iss-output", str(iss)]) == 3
+                     "--output", str(out), "--verify-iss", "--iss-output", str(iss)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
+        assert not out.exists()
         assert not iss.exists()
 
     @pytest.mark.parametrize("n", ["0", "-3"])
