@@ -70,7 +70,10 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "closed-loop --plant-p 50 --c 2 --output cl.csv",
             "spectral", "spectral --config ../robin.cfg", "spectral --config ../robin-inlet.cfg",
             f"fd --config ../y.cfg {ISS}", f"spectral --config ../y.cfg {ISS}",
-            "spectral --modes 8", f"lifted --modes 8 {ISS}"]
+            "spectral --modes 8", f"lifted --modes 8 {ISS}",
+            f"fd --case transport --zeta 1 --a 1 --disturbance smoothed-step --ramp 0.3 {ISS}",
+            "spectral --case transport --zeta 0.180771 --a 1 --disturbance smoothed-step "
+            "--ramp 0.35 --T 2 --store 40 --modes 32"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 

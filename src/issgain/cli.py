@@ -237,25 +237,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_from_args(args, eps, problem, traj, spectrum, closed_loop) -> int:
-    """Check the envelope on ``traj``, reusing the command's spectrum or closed loop."""
-    if args.solver == "advection":
-        v, k = args.v, args.k
-        d_ref = args.D if args.weight_D is None else args.weight_D
-        envelope = IssEnvelope(decay_rate=k + v * v / (2.0 * d_ref),
-                               gain_base=advection_gain(v, d_ref, k),
-                               epsilon_dependent=False, max_window=1.0 / v)
-    elif args.solver == "closed-loop":
-        cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c)
-        envelope = closed_loop_bound(cfg, closed_loop.kernel.norm,
-                                     closed_loop.inverse_kernel.norm)
-    else:
-        envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
-    report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
-    csvio.write_csv(csvio.ISS_HEADER, report.rows(), args.iss_output)
-    return 0 if report.passed else 2
-
-
 def cmd_simulate(args) -> int:
     if args.store < 1:
         raise ConfigError(f"--store must be at least 1, got {args.store}")
@@ -263,22 +244,30 @@ def cmd_simulate(args) -> int:
         eps = tuple(float(e) for e in args.eps.split(","))
         _require_iss_settings(eps, args.slack)
     d = _signal_from_args(args)
-    problem = spectrum = closed_loop = None
+    problem = spectrum = envelope = None
     if args.solver == "advection":
         for flag, value in (("--v", args.v), ("--D", args.D), ("--weight-D", args.weight_D)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{flag} must be finite and positive for the advection "
                                   f"solver, got {value}")
+        if not math.isfinite(args.k):
+            raise ConfigError(f"--k must be finite for the advection solver, got {args.k}")
+        v, k, d_ref = args.v, args.k, args.D if args.weight_D is None else args.weight_D
+        if args.verify_iss:     # built before the solve: a --v that overflows it is rejected
+            envelope = IssEnvelope(decay_rate=k + v * v / (2.0 * d_ref),
+                                   gain_base=advection_gain(v, d_ref, k),
+                                   epsilon_dependent=False, max_window=1.0 / v)
+            if not (math.isfinite(envelope.decay_rate) and math.isfinite(envelope.gain_base)):
+                raise ConfigError(f"--v {v} overflows the advection envelope (decay rate "
+                                  f"{envelope.decay_rate}, gain {envelope.gain_base})")
         if args.disturbance == "sinusoid" and args.phase == 0.0:
             # cosine start satisfies d'(0) = 0, matching the default profile below
             d = DisturbanceSignal.sinusoid(args.amplitude, args.omega, math.pi / 2.0)
         d0 = float(d.value(np.asarray(0.0)))
-        k_over_v = args.k / args.v
+        k_over_v = k / v
         y0 = lambda z: d0 * np.exp(-k_over_v * np.asarray(z))
-        traj = advection_exact(args.v, args.k, d, y0, args.T,
-                               resolution=args.resolution,
-                               weight_D=args.D if args.weight_D is None else args.weight_D,
-                               n_store=args.store)
+        traj = advection_exact(v, k, d, y0, args.T, resolution=args.resolution,
+                               weight_D=d_ref, n_store=args.store)
     elif args.solver == "closed-loop":
         cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c, d=d)
         kernel = solve_kernel(cfg, args.resolution)
@@ -291,10 +280,8 @@ def cmd_simulate(args) -> int:
         # feedback identity y0(0) = d0 - integral k(0,s) y0(s) ds for y0(0)
         w = kernel.weighted[0]
         y0[0] = (d0 - w[1:] @ y0[1:]) / (1.0 + w[0])
-        result = simulate_closed_loop(cfg, GridFunction(grid, y0), args.dt, args.T,
-                                      kernel=kernel, inverse_kernel=inverse,
-                                      n_store=args.store)
-        traj, closed_loop = result.y, result
+        traj = simulate_closed_loop(cfg, GridFunction(grid, y0), args.dt, args.T,
+                                    kernel=kernel, inverse_kernel=inverse, n_store=args.store).y
         if args.kernel_output:
             csvio.write_csv(csvio.KERNEL_HEADER, csvio.kernel_rows(kernel),
                             args.kernel_output)
@@ -314,9 +301,15 @@ def cmd_simulate(args) -> int:
                                             N=args.modes, n_store=args.store)
     csvio.write_csv(csvio.trajectory_header(traj, args.wide),
                     csvio.trajectory_rows(traj, args.wide), args.output)
-    if args.verify_iss:
-        return _verify_from_args(args, eps, problem, traj, spectrum, closed_loop)
-    return 0
+    if not args.verify_iss:
+        return 0
+    if args.solver == "closed-loop":
+        envelope = closed_loop_bound(cfg, kernel.norm, inverse.norm)
+    elif args.solver != "advection":
+        envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
+    report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
+    csvio.write_csv(csvio.ISS_HEADER, report.rows(), args.iss_output)
+    return 0 if report.passed else 2
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:

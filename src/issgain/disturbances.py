@@ -1,56 +1,82 @@
 """Boundary disturbance signals d(t) with their first derivative.
 
 Classical solutions need d twice continuously differentiable; every kind
-carries evaluators for d and d' and their exponential convolutions.
-Tabulated signals are cubic-spline interpolants and only piecewise C2;
-constructing one emits a :class:`SmoothnessWarning`.
+carries evaluators for d and d' and their exponential convolutions.  A
+sinusoid has closed forms.  Every other kind (constant, smoothed step,
+tabulated) is one piecewise polynomial, whose convolutions are summed
+exactly piece by piece.  Tabulated signals are cubic-spline interpolants and
+only piecewise C2; constructing one emits a :class:`SmoothnessWarning`.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SmoothnessWarning
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class DisturbanceSignal:
+    """offset + amplitude sin(frequency t + phase) for a sinusoid; else d(t) = sum_m
+    coefs[i, m] (t - origins[i])^m on [breaks[i-1], breaks[i]), the end pieces unbounded."""
+
     kind: str                      # constant | sinusoid | smoothed_step | tabulated
     amplitude: float = 0.0
     frequency: float = 0.0         # angular frequency of the sinusoid
     phase: float = 0.0
     offset: float = 0.0
-    ramp_time: float = 1.0
-    _spline: object = field(default=None, repr=False)
+    breaks: np.ndarray | None = None
+    origins: np.ndarray | None = None
+    coefs: np.ndarray | None = None
 
     @classmethod
     def constant(cls, amplitude: float) -> "DisturbanceSignal":
-        return cls("constant", amplitude=float(amplitude))
+        _require_finite(amplitude=amplitude)
+        return cls("constant", breaks=np.empty(0), origins=np.zeros(1),
+                   coefs=np.array([[float(amplitude)]]))
 
     @classmethod
     def sinusoid(cls, amplitude: float, omega: float, phase: float = 0.0,
                  offset: float = 0.0) -> "DisturbanceSignal":
+        _require_finite(amplitude=amplitude, omega=omega, phase=phase, offset=offset)
         return cls("sinusoid", amplitude=float(amplitude), frequency=float(omega),
                    phase=float(phase), offset=float(offset))
 
     @classmethod
     def smoothed_step(cls, amplitude: float, ramp_time: float) -> "DisturbanceSignal":
-        if ramp_time <= 0:
-            raise ValueError("ramp_time must be positive")
-        return cls("smoothed_step", amplitude=float(amplitude), ramp_time=float(ramp_time))
+        """0 before t = 0, amplitude from ramp_time on, amplitude (10u^3 - 15u^4 + 6u^5)
+        with u = t/ramp_time between: C2 at both ends."""
+        _require_finite(amplitude=amplitude)
+        if not (math.isfinite(ramp_time) and ramp_time > 0):
+            raise ValueError(f"ramp_time must be finite and positive, got {ramp_time}")
+        amp, ramp = float(amplitude), float(ramp_time)
+        with np.errstate(all="ignore"):
+            ramp_poly = amp * np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0]) / ramp ** np.arange(6.0)
+        if not np.all(np.isfinite(ramp_poly)):
+            raise ValueError(f"amplitude {amp} over ramp_time {ramp} overflows the ramp")
+        return cls("smoothed_step", breaks=np.array([0.0, ramp]),
+                   origins=np.array([0.0, 0.0, ramp]),
+                   coefs=np.array([np.zeros(6), ramp_poly, [amp, 0.0, 0.0, 0.0, 0.0, 0.0]]))
 
     @classmethod
     def tabulated(cls, times, values) -> "DisturbanceSignal":
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
         warnings.warn("tabulated disturbances are only piecewise C2",
                       SmoothnessWarning, stacklevel=2)
         # imported here, not at the top: it adds ~250 ms to every start-up
         from scipy.interpolate import CubicSpline
-        return cls("tabulated", _spline=CubicSpline(times, values))
+        spline = CubicSpline(times, values)
+        # spline.c holds descending powers of t - x[i]; its end pieces extrapolate
+        return cls("tabulated", breaks=spline.x[1:-1], origins=spline.x[:-1],
+                   coefs=np.ascontiguousarray(spline.c[::-1].T))
 
     def value(self, t):
         return self._evaluate(t, 0)
@@ -61,38 +87,34 @@ class DisturbanceSignal:
     def _evaluate(self, t, order: int):
         """d (order 0) or d' (order 1) at ``t``, shaped like ``t``.  A 0-d ``t``
         goes through the 1-d array path, so that d(t) equals its element of any
-        array bit for bit (numpy rounds scalar and array powers differently)."""
+        array bit for bit (numpy's scalar and array loops can round differently)."""
         t = np.asarray(t, dtype=float)
         ts = np.atleast_1d(t)
-        if self.kind == "constant":
-            out = np.full_like(ts, self.amplitude if order == 0 else 0.0)
-        elif self.kind == "sinusoid":
+        if self.kind == "sinusoid":
             amp, om, arg = self.amplitude, self.frequency, self.frequency * ts + self.phase
             if order == 0:
                 out = self.offset + amp * np.sin(arg)
             else:
                 out = amp * om * np.cos(arg)
-        elif self.kind == "smoothed_step":
-            u, amp, ramp = np.clip(ts / self.ramp_time, 0.0, 1.0), self.amplitude, self.ramp_time
-            if order == 0:
-                out = amp * u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
-            else:
-                out = amp * 30.0 * u * u * (1.0 - u) ** 2 / ramp
         else:
-            out = self._spline(ts, order)
+            # summed in scipy's PPoly order, ascending powers of the local variable,
+            # so that a tabulated signal equals its CubicSpline bit for bit
+            piece = np.searchsorted(self.breaks, ts, side="right")
+            local, coefs = ts - self.origins[piece], self.coefs[piece]
+            out, power = np.zeros_like(ts), np.ones_like(ts)
+            for m in range(order, coefs.shape[-1]):
+                out = out + coefs[..., m] * power * math.perm(m, order)
+                power = power * local
         return out.reshape(t.shape)
 
     def exp_convolution(self, lam: float | np.ndarray, t0: float | np.ndarray,
                         t1: float | np.ndarray) -> float | np.ndarray:
-        """integral_{t0}^{t1} e^{-lam (t1 - s)} d(s) ds.
+        """integral_{t0}^{t1} e^{-lam (t1 - s)} d(s) ds for t0 <= t1, exact for every kind.
 
         ``lam`` is a scalar or an array of decay rates, one per mode.  Scalar
         ``t0, t1`` give a result shaped like ``lam`` (a float for a scalar
         ``lam``); 1-d arrays of n interval ends give ``(n,) + lam.shape``, row
-        i the value on [t0[i], t1[i]].  Closed form for constant and sinusoid
-        kinds (this is what makes the exponential integrator exact for them);
-        composite quadratic-in-s exponential moments otherwise, with d sampled
-        once for all modes.
+        i the value on [t0[i], t1[i]].
         """
         return self._convolution(lam, t0, t1, derivative=False)
 
@@ -104,117 +126,94 @@ class DisturbanceSignal:
 
     def _convolution(self, lam, t0, t1, derivative: bool):
         lam = np.asarray(lam, dtype=float)
+        if self.kind != "sinusoid":
+            out = self._piecewise_convolution(lam, t0, t1, derivative)
+            return float(out) if out.ndim == 0 else out
         # interval ends on a leading axis, broadcast against the modes
         start, end = (np.reshape(t, np.shape(t) + (1,) * lam.ndim) for t in (t0, t1))
-        if self.kind == "constant":
-            j0 = _j_moments(lam, end - start, 0)[0]
-            out = np.zeros_like(j0) if derivative else self.amplitude * j0
-        elif self.kind == "sinusoid":
-            om, amp, ph, offset = self.frequency, self.amplitude, self.phase, self.offset
-            if derivative:                  # d' = amp om sin(om s + ph + pi/2)
-                amp, ph, offset = amp * om, ph + math.pi / 2.0, 0.0
-            j0 = _j_moments(lam, end - start, 0)[0]
-            if om == 0.0:
-                out = offset * j0 + amp * math.sin(ph) * j0
-            else:
-                den = lam * lam + om * om
-                def antider(s, w):  # e^{-lam (t1-s)} (lam sin - om cos)(om s + ph)/den
-                    return w * (lam * np.sin(om * s + ph) - om * np.cos(om * s + ph)) / den
-                out = offset * j0 + amp * (antider(end, 1.0)
-                                           - antider(start, np.exp(-lam * (end - start))))
+        om, amp, ph, offset = self.frequency, self.amplitude, self.phase, self.offset
+        if derivative:                  # d' = amp om sin(om s + ph + pi/2)
+            amp, ph, offset = amp * om, ph + math.pi / 2.0, 0.0
+        j0 = _j_moments(lam, end - start, 0)[0]
+        if om == 0.0:
+            out = offset * j0 + amp * math.sin(ph) * j0
         else:
-            out = _quadratic_exp_quadrature(self.derivative if derivative else self.value,
-                                            lam, t0, t1)
+            den = lam * lam + om * om
+            def antider(s, w):  # e^{-lam (t1-s)} (lam sin - om cos)(om s + ph)/den
+                return w * (lam * np.sin(om * s + ph) - om * np.cos(om * s + ph)) / den
+            out = offset * j0 + amp * (antider(end, 1.0)
+                                       - antider(start, np.exp(-lam * (end - start))))
         return float(out) if out.ndim == 0 else out
 
+    def _piecewise_convolution(self, lam, t0, t1, derivative: bool):
+        """The convolution of the pieces, or of d' if ``derivative``: along each
+        interval, its part [a, b] on one piece is re-expanded about a, integrated
+        as sum_k c_k J_k(lam, b - a) and added to the running total, decayed by
+        e^{-lam (b - a)}.  Step i takes the i-th part of every interval that has one."""
+        coefs = self.coefs
+        if derivative:      # m c_m (t - origin)^(m-1), in as many columns, the last 0
+            coefs = np.column_stack([coefs[:, 1:] * np.arange(1.0, coefs.shape[1]),
+                                     np.zeros(len(coefs))])
+        start, end = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+        starts, ends = start.ravel(), end.ravel()
+        rates = lam.reshape(1, -1)
+        edges = np.concatenate(([-np.inf], self.breaks, [np.inf]))
+        first = np.searchsorted(self.breaks, starts, side="right")
+        met = np.searchsorted(self.breaks, ends, side="left") - first + 1
+        total = np.zeros((starts.size, rates.size))
+        for step in range(int(met.max(initial=1))):
+            rows = np.flatnonzero(step < met)
+            piece = first[rows] + step
+            a = np.maximum(edges[piece], starts[rows])
+            delta = (np.minimum(edges[piece + 1], ends[rows]) - a)[:, None]
+            # Taylor shift by repeated synthetic division: c[k] becomes p^(k)(a)/k!
+            c, shift = list(coefs[piece].T), a - self.origins[piece]
+            for k in range(len(c) - 1):
+                for m in range(len(c) - 2, k - 1, -1):
+                    c[m] = c[m] + shift * c[m + 1]
+            moments = _j_moments(rates, delta, len(c) - 1)
+            part = sum(ck[:, None] * jk for ck, jk in zip(c, moments))
+            total[rows] = part if step == 0 else total[rows] * np.exp(-rates * delta) + part
+        return total.reshape(start.shape + lam.shape)
 
-# Largest (substep x mode) block the quadrature works on at once: each element
-# holds about a dozen floats, and one block for a T = 2000 lifted run tripled its RSS.
-_CHUNK_ELEMENTS = 2 ** 13
-# From |lam delta| = 1 up, the recurrence J_k = (delta^k - k J_{k-1}) / lam
-# is good to a few ulp; below, it cancels like (lam delta)^-k, so the moments
-# come from their power series there.
-_SERIES_LIMIT = 1.0
-# k!/(k+m+1)! for k = 0..2 and m = 0..19: at |lam delta| < 1 the first
+
+# k!/(k+m+1)! for k = 0..5 and m = 0..19: at |lam delta| < 1 the first
 # dropped term is below 1/21! < 1e-19 of the leading one.
 _SERIES_COEFS = np.array([[math.factorial(k) / math.factorial(k + m + 1) for m in range(20)]
-                          for k in range(3)])
+                          for k in range(6)])
 
 
 def _j_moments(lam, delta, kmax: int) -> np.ndarray:
-    """J_k = integral_0^delta e^{-lam (delta - s)} s^k ds for k = 0..kmax <= 2.
+    """J_k = integral_0^delta e^{-lam (delta - s)} s^k ds for k = 0..kmax <= 5.
 
     ``lam`` and ``delta`` broadcast against each other; the result has shape
     ``(kmax + 1,) + broadcast shape``.  For |lam delta| < 1 every moment is
     summed from J_k = delta^{k+1} sum_m (-lam delta)^m k!/(k+m+1)!, which is
-    exact at lam = 0.
+    exact at lam = 0.  Powers of delta are running products, so a moment does
+    not depend on how many share a call.
     """
     lam, delta = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(delta, dtype=float))
     x = lam * delta
     j = np.empty((kmax + 1,) + x.shape)
-    small = np.abs(x) < _SERIES_LIMIT
-    if np.any(small):
-        xs = x[small]
-        acc = np.zeros((kmax + 1, xs.size))
-        for coef in _SERIES_COEFS[:kmax + 1, ::-1].T:   # Horner in -x
-            acc = acc * -xs + coef[:, None]
-        # With a broadcast exponent, np.power switches to a differently rounded
-        # loop once the operands outgrow the ufunc buffer; full-size operands
-        # keep one loop, so a moment does not depend on how many share a call.
-        ds = np.tile(delta[small], (kmax + 1, 1))
-        exponents = np.repeat(np.arange(1.0, kmax + 2.0)[:, None], ds.shape[1], axis=1)
-        j[:, small] = np.power(ds, exponents) * acc
+    # from |lam delta| = 1 up, the recurrence J_k = (delta^k - k J_{k-1}) / lam is
+    # good to about 1e-13 for k <= 5; below, it cancels like (lam delta)^-k
+    small = np.abs(x) < 1.0
+    xs, ds = x[small], delta[small]
+    acc = np.zeros((kmax + 1, xs.size))
+    for coef in _SERIES_COEFS[:kmax + 1, ::-1].T:   # Horner in -x
+        acc = acc * -xs + coef[:, None]
+    power = np.ones_like(ds)
+    for k in range(kmax + 1):
+        power = power * ds
+        j[k, small] = power * acc[k]
     large = ~small
-    if np.any(large):
-        xl, ll, dl = x[large], lam[large], delta[large]
-        jk = -np.expm1(-xl) / ll
-        j[0, large] = jk
-        for k in range(1, kmax + 1):
-            jk = (dl ** k - k * jk) / ll
-            j[k, large] = jk
+    xl, ll, dl = x[large], lam[large], delta[large]
+    jk = -np.expm1(-xl) / ll
+    j[0, large] = jk
+    power = np.ones_like(dl)
+    for k in range(1, kmax + 1):
+        power = power * dl
+        jk = (power - k * jk) / ll
+        j[k, large] = jk
     return j
-
-
-def _quadratic_exp_quadrature(fn, lam, t0, t1):
-    """Exponential-weighted quadrature: fn interpolated by parabolas per
-    substep, the kernel e^{-lam (t1-s)} integrated exactly (stable for stiff
-    lam where plain quadrature underflows).
-
-    ``t0, t1`` and the result are shaped as in ``exp_convolution``.  An
-    interval of length L has max(16, min(256, ceil(64 L))) substeps; chunks
-    of whole intervals with one substep count share each call of ``fn``, which
-    maps a 1-d array of times (the substep edges and midpoints) to samples
-    with time on the first axis and, if fn gives one, modes on the second.
-    """
-    lam = np.asarray(lam, dtype=float)
-    start, end = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
-    starts, ends = start.ravel(), end.ravel()
-    rates = lam.reshape(1, 1, -1)
-    n_subs = np.clip(np.ceil(64.0 * (ends - starts)), 16, 256).astype(int)
-    out = np.empty((starts.size, rates.shape[-1]))
-    for n_sub in np.unique(n_subs).tolist():
-        group = np.flatnonzero(n_subs == n_sub)
-        step = max(1, _CHUNK_ELEMENTS // (n_sub * rates.shape[-1]))
-        for rows in (group[k:k + step] for k in range(0, group.size, step)):
-            lo, hi = starts[rows], ends[rows]
-            # edge k of an interval is lo + k (hi - lo)/n_sub, the last hi (as np.linspace)
-            edges = lo + np.arange(n_sub + 1.0)[:, None] * ((hi - lo) / n_sub)
-            edges[-1] = hi
-            times = np.empty((2 * n_sub + 1, rows.size))
-            times[0::2] = edges
-            times[1::2] = 0.5 * (edges[:-1] + edges[1:])
-            f = np.asarray(fn(times.ravel()), dtype=float).reshape(times.shape + (-1,))
-            f0, fm, f1 = f[0:-1:2], f[1::2], f[2::2]
-            delta = np.diff(edges, axis=0)[..., None]
-            # parabola f(a + s) = f0 + c1 s + c2 s^2 on s in [0, delta], per substep
-            c1 = (-3.0 * f0 + 4.0 * fm - f1) / delta
-            c2 = 2.0 * (f0 - 2.0 * fm + f1) / delta ** 2
-            j0, j1, j2 = _j_moments(rates, delta, 2)
-            pieces = f0 * j0 + c1 * j1 + c2 * j2
-            decays = np.exp(-rates * delta)
-            total = pieces[0]
-            for i in range(1, n_sub):
-                total = total * decays[i] + pieces[i]
-            out[rows] = total
-    return out.reshape(start.shape + lam.shape)

@@ -321,7 +321,7 @@ def simulate_spectral(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSign
                       x0: GridFunction, T: float, N: int = 64,
                       n_store: int = DEFAULT_STORE) -> Trajectory:
     """Exponential integration of the first N generalized Fourier modes (exact for
-    constant and sinusoidal d), lifted by the steady state x~ of datum s: A x~ = 0,
+    every signal kind), lifted by the steady state x~ of datum s: A x~ = 0,
     so mode n couples through lambda_n <phi_n, x~>_r/s, and adding back (d/s)(x~ -
     P_N x~), the quasi-static part the kept modes miss (mode acceleration), makes x
     meet the inlet datum."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -95,3 +96,66 @@ def _segment_integral(seg: np.ndarray, h: float) -> float:
     if n == 3:
         return head
     return head + h * float(simpson_weights(n - 2) @ seg[3:])
+
+
+def exact_exp_convolution(pieces, lam: float, t0: float, t1: float,
+                          derivative: bool = False) -> float:
+    """integral_{t0}^{t1} e^{-lam (t1 - s)} p(s) ds, or the same of p', in
+    100-digit decimal arithmetic.
+
+    ``pieces`` are (left, right, origin, coefficients) with p(s) = sum_m c_m
+    (s - origin)^m on [left, right).  Each part [a, b] of [t0, t1] integrates by
+    the antiderivative e^{-lam (t1 - s)} sum_j (-1)^j p^(j)(s) / lam^(j+1), or by
+    sum_m c_m (s - origin)^(m+1) / (m+1) at lam = 0.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 100
+        rate, end, total = Decimal(lam), Decimal(t1), Decimal(0)
+        for left, right, origin, coefs in pieces:
+            a, b = max(left, t0), min(right, t1)
+            if a >= b:
+                continue
+            base = Decimal(origin)
+            poly = [Decimal(c) for c in coefs]
+            if derivative:
+                poly = [m * c for m, c in enumerate(poly)][1:] or [Decimal(0)]
+            derivatives = [poly]
+            while len(derivatives[-1]) > 1:
+                derivatives.append([m * c for m, c in enumerate(derivatives[-1])][1:])
+
+            def antiderivative(s):
+                u = s - base
+                if lam == 0.0:
+                    return u * _horner([c / (m + 1) for m, c in enumerate(poly)], u)
+                series = sum((-1) ** j * _horner(cs, u) / rate ** (j + 1)
+                             for j, cs in enumerate(derivatives))
+                return (-rate * (end - s)).exp() * series
+
+            total += antiderivative(Decimal(b)) - antiderivative(Decimal(a))
+        return float(total)
+
+
+def _horner(coefs, u):
+    value = 0
+    for c in reversed(coefs):
+        value = value * u + c
+    return value
+
+
+def smoothed_step_pieces(amplitude: float, ramp: float):
+    """The pieces of amplitude (10u^3 - 15u^4 + 6u^5), u = t/ramp, clamped to
+    0 before t = 0 and to amplitude after ramp, with 100-digit coefficients."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        amp, r = Decimal(amplitude), Decimal(ramp)
+        ramp_poly = [0, 0, 0, 10 * amp / r ** 3, -15 * amp / r ** 4, 6 * amp / r ** 5]
+    return [(-math.inf, 0.0, 0.0, [0]), (0.0, ramp, 0.0, ramp_poly),
+            (ramp, math.inf, ramp, [amp])]
+
+
+def spline_pieces(spline):
+    """The pieces of a scipy CubicSpline, its end pieces extended to -inf and inf."""
+    x, c = spline.x, spline.c
+    lefts = [-math.inf, *x[1:-1]]
+    rights = [*x[1:-1], math.inf]
+    return [(lefts[i], rights[i], x[i], c[::-1, i]) for i in range(c.shape[1])]

@@ -456,6 +456,8 @@ class TestRejectedInputs:
         ["simulate", "--solver", "closed-loop", "--D", "inf"],
         ["simulate", "--solver", "advection", "--v", "inf"],
         *(["simulate", "--config", name] for name in sorted(REJECTED_CONFIGS)),
+        ["simulate", "--solver", "advection", "--v", "1e308", "--verify-iss"],
+        ["simulate", "--solver", "advection", "--k", "inf"],
     ])
     def test_exit_three_without_traceback(self, tmp_path, monkeypatch, capsys, argv):
         for name, text in REJECTED_CONFIGS.items():
@@ -466,6 +468,23 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--solver", "closed-loop", "--amplitude", "inf"], "amplitude must be finite, got inf"),
+        (["--solver", "spectral", "--disturbance", "sinusoid", "--omega", "nan"],
+         "omega must be finite, got nan"),
+        (["--disturbance", "sinusoid", "--phase", "inf"], "phase must be finite, got inf"),
+        (["--disturbance", "smoothed-step", "--ramp", "nan"],
+         "ramp_time must be finite and positive, got nan"),
+        (["--disturbance", "smoothed-step", "--ramp", "inf"],
+         "ramp_time must be finite and positive, got inf"),
+    ])
+    def test_non_finite_signal_parameter(self, tmp_path, capsys, argv, message):
+        # rejected by the signal's constructor, before any solve or warning
+        out = tmp_path / "out.csv"
+        assert main(["simulate", *argv, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("amplitude", ["inf", "nan", "1e308"])

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack, solve_banded
 
-import issgain.disturbances as disturbances
 import issgain.pde_sim as pde_sim
 import issgain.sturm_liouville
 from issgain import (
@@ -40,33 +40,21 @@ from issgain import (
 )
 from issgain.disturbances import _j_moments
 from issgain.grids import simpson_weights
-from oracles import analytic_transport_spectrum
-
-
-def scalar_exp_quadrature(fn, lam, t0, t1, n_sub=None):
-    """Reference for the vectorised quadrature: one mode at a time, one scalar
-    sample per substep edge and midpoint."""
-    if n_sub is None:
-        n_sub = max(16, min(256, math.ceil(64.0 * (t1 - t0))))
-    total = 0.0
-    edges = np.linspace(t0, t1, n_sub + 1)
-    for i in range(n_sub):
-        a, b = edges[i], edges[i + 1]
-        delta = b - a
-        mid = 0.5 * (a + b)
-        f0, fm, f1 = (float(fn(np.asarray(x))) for x in (a, mid, b))
-        c0 = f0
-        c1 = (-3.0 * f0 + 4.0 * fm - f1) / delta
-        c2 = 2.0 * (f0 - 2.0 * fm + f1) / delta ** 2
-        j0, j1, j2 = _j_moments(lam, delta, 2)
-        piece = c0 * j0 + c1 * j1 + c2 * j2
-        total = total * math.exp(-lam * delta) + piece
-    return total
+from oracles import (
+    analytic_transport_spectrum,
+    exact_exp_convolution,
+    smoothed_step_pieces,
+    spline_pieces,
+)
 
 
 def exact_j_moment(lam, delta, k):
     """J_k = delta^{k+1} sum_m (-lam delta)^m k!/(k+m+1)!, summed in rational
-    arithmetic until the terms fall below 1e-40 of the sum."""
+    arithmetic until the terms fall below 1e-40 of the sum.  Past lam delta = 50
+    that takes hundreds of terms of huge rationals, and J_k comes from the
+    decimal antiderivative of ``exact_exp_convolution`` instead."""
+    if lam * delta > 50.0:
+        return exact_exp_convolution([(-math.inf, math.inf, 0.0, [0] * k + [1])], lam, 0.0, delta)
     x, d = Fraction(lam) * Fraction(delta), Fraction(delta)
     total, m = Fraction(0), 0
     while True:
@@ -207,22 +195,20 @@ class TestDisturbanceSignal:
 
     @pytest.mark.parametrize("lam", [0.5, 12.0, 400.0])
     def test_exp_convolution_oracle(self, lam):
-        # oracle: adaptive quadrature of e^{-lam (t1-s)} d(s); constant and
-        # sinusoid paths are closed-form, the smoothed step goes through the
-        # piecewise-parabola exponential quadrature
+        # oracle: adaptive quadrature of e^{-lam (t1-s)} d(s); every kind is exact,
+        # the step across the end of its ramp at 0.8 too
         from scipy.integrate import quad
-        for d, tol in ((DisturbanceSignal.sinusoid(1.3, 2.5, 0.3), 1e-12),
-                       (DisturbanceSignal.smoothed_step(2.0, 0.8), 5e-8),
-                       (DisturbanceSignal.constant(0.7), 1e-12)):
+        for d in (DisturbanceSignal.sinusoid(1.3, 2.5, 0.3),
+                  DisturbanceSignal.smoothed_step(2.0, 0.8), DisturbanceSignal.constant(0.7)):
             t0, t1 = 0.2, 0.9
             exact, _ = quad(lambda s: math.exp(-lam * (t1 - s)) * float(d.value(np.asarray(s))),
                             t0, t1, epsabs=1e-14, epsrel=1e-12)
-            assert d.exp_convolution(lam, t0, t1) == pytest.approx(exact, abs=tol)
-        # short intervals (the simulators' regime) are much tighter
+            assert d.exp_convolution(lam, t0, t1) == pytest.approx(exact, abs=1e-12)
+        # and a short interval, the simulators' regime, to about the quadrature's accuracy
         d = DisturbanceSignal.smoothed_step(2.0, 0.8)
         exact, _ = quad(lambda s: math.exp(-lam * (0.52 - s)) * float(d.value(np.asarray(s))),
                         0.5, 0.52, epsabs=1e-15, epsrel=1e-13)
-        assert d.exp_convolution(lam, 0.5, 0.52) == pytest.approx(exact, abs=1e-11)
+        assert d.exp_convolution(lam, 0.5, 0.52) == pytest.approx(exact, abs=1e-15)
 
     @pytest.mark.parametrize("x", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 10.0])
     def test_j_moments_match_series(self, x):
@@ -230,8 +216,8 @@ class TestDisturbanceSignal:
         # (J2 off by 5.4 relative at lam = 1e-6, delta = 1e-2) and divides by zero at lam = 0
         for delta in (1e-2, 4e-6, 0.7):
             lam = x / delta
-            got = _j_moments(lam, delta, 2)
-            for k in range(3):
+            got = _j_moments(lam, delta, 5)
+            for k in range(6):
                 exact = exact_j_moment(lam, delta, k)
                 assert got[k] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
@@ -240,22 +226,55 @@ class TestDisturbanceSignal:
         delta = np.array([[1e-3], [0.05]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _j_moments(lam, delta, 2)
-        assert got.shape == (3, 2, 5)
+            got = _j_moments(lam, delta, 5)
+        assert got.shape == (6, 2, 5)
         for r, dl in enumerate(delta[:, 0]):
             for c, lm in enumerate(lam):
-                assert np.array_equal(got[:, r, c], _j_moments(lm, dl, 2))
+                assert np.array_equal(got[:, r, c], _j_moments(lm, dl, 5))
+                for k in range(6):
+                    assert got[k, r, c] == pytest.approx(exact_j_moment(lm, dl, k),
+                                                         rel=1e-12, abs=0.0)
         assert got[2, 1, 0] == pytest.approx(0.05 ** 3 / 3.0, rel=1e-15)
 
     @pytest.mark.parametrize("t0, t1", [(0.31, 0.33), (0.1, 0.8)])
     def test_vectorised_quadrature_matches_scalar_loop(self, t0, t1):
+        # one call over 32 modes against the exact oracle taken one mode at a time
         d = DisturbanceSignal.smoothed_step(1.7, 0.9)
+        pieces = smoothed_step_pieces(1.7, 0.9)
         lam = np.geomspace(0.5, 1e4, 32)
-        for vector, fn in ((d.exp_convolution(lam, t0, t1), d.value),
-                           (d.exp_convolution_derivative(lam, t0, t1), d.derivative)):
+        for method, derivative in ((d.exp_convolution, False),
+                                   (d.exp_convolution_derivative, True)):
+            vector = method(lam, t0, t1)
             assert vector.shape == lam.shape
-            reference = np.array([scalar_exp_quadrature(fn, float(l), t0, t1) for l in lam])
+            reference = np.array([exact_exp_convolution(pieces, float(l), t0, t1, derivative)
+                                  for l in lam])
             assert np.max(np.abs(vector - reference) / np.abs(reference)) < 1e-13
+
+    @pytest.mark.parametrize("kind", ["smoothed_step", "tabulated"])
+    def test_exp_convolution_matches_exact_oracle(self, kind):
+        # intervals inside one piece, across the step's ramp ends 0 and 0.9 or across
+        # knots of the table on [0, 4], and past either end, where the end pieces
+        # extrapolate; the bound is relative to sup |d| (or |d'|) over the interval
+        # times the kernel's integral, since d' vanishes to second order at 0.9
+        if kind == "smoothed_step":
+            d, pieces = DisturbanceSignal.smoothed_step(1.7, 0.9), smoothed_step_pieces(1.7, 0.9)
+        else:
+            times = np.linspace(0.0, 4.0, 30)
+            with pytest.warns(SmoothnessWarning):
+                d = DisturbanceSignal.tabulated(times, np.cos(times))
+            pieces = spline_pieces(CubicSpline(times, np.cos(times)))
+        t0, t1 = np.array([(0.31, 0.33), (0.1, 0.8), (-0.3, 1.2), (0.85, 0.95), (0.0, 0.9),
+                           (-0.5, 0.2), (3.9, 4.5), (4.2, 4.6), (-1.0, -0.5), (1.0, 1.0)]).T
+        lam = np.array([0.0, 0.5, 12.0, 400.0, 3e4])
+        kernel = [[exact_exp_convolution([(-math.inf, math.inf, 0.0, [1])], l, a, b)
+                   for l in lam] for a, b in zip(t0, t1)]
+        for method, fn, derivative in ((d.exp_convolution, d.value, False),
+                                       (d.exp_convolution_derivative, d.derivative, True)):
+            got = method(lam, t0, t1)
+            exact = np.array([[exact_exp_convolution(pieces, l, a, b, derivative) for l in lam]
+                              for a, b in zip(t0, t1)])
+            sup = np.array([np.max(np.abs(fn(np.linspace(a, b, 2001)))) for a, b in zip(t0, t1)])
+            assert np.all(np.abs(got - exact) <= 1e-12 * sup[:, None] * kernel)
 
     @pytest.mark.parametrize("d", [DisturbanceSignal.constant(0.7),
                                    DisturbanceSignal.sinusoid(1.3, 2.5, 0.3, 0.2),
@@ -269,30 +288,13 @@ class TestDisturbanceSignal:
             assert all(type(v) is float for v in scalars)
             assert np.allclose(vector, scalars, rtol=1e-14, atol=0.0)
 
-    def test_one_sample_call_per_interval_for_all_modes(self, monkeypatch):
-        calls = []
-        for name in ("value", "derivative"):
-            original = getattr(DisturbanceSignal, name)
-
-            def counting(self, t, original=original):
-                calls.append(np.size(t))
-                return original(self, t)
-
-            monkeypatch.setattr(DisturbanceSignal, name, counting)
-        d = DisturbanceSignal.smoothed_step(1.0, 0.5)
-        for n_modes in (1, 32, 400):
-            for method in (d.exp_convolution, d.exp_convolution_derivative):
-                calls.clear()
-                method(np.linspace(1.0, 1e3, n_modes), 0.1, 0.3)
-                assert 1 <= len(calls) <= 2
-
 
 class TestBatchedIntervals:
     """One call over many intervals returns, row for row, the one-interval values."""
 
     @pytest.mark.parametrize("d", batch_signals(), ids=lambda d: d.kind)
     def test_batch_equals_per_interval_calls(self, d):
-        # lengths 0.25 and 0.5 take 16 and 32 substeps, 2.7 takes 173
+        # six intervals of lengths 0.1 to 2.7 across the step's ramp and the table's knots
         t0 = np.array([0.0, 0.25, 0.75, 1.0, 1.1, 3.8])
         t1 = np.array([0.25, 0.75, 1.0, 1.1, 3.8, 4.0])
         lam = np.array([0.0, 0.5, 12.0, 400.0, 3e4])
@@ -305,17 +307,17 @@ class TestBatchedIntervals:
             assert np.array_equal(method(12.0, t0, t1), batch[:, 2])
 
     def test_batch_beyond_chunk_limit(self):
-        d = DisturbanceSignal.smoothed_step(1.7, 0.9)
+        # 300 intervals by 32 modes: 9,600 elements, more than numpy's 8,192-element
+        # ufunc buffer, past which a loop could round differently
         lam = np.geomspace(0.5, 1e4, 32)
-        # 16 substeps per interval of length 0.1: three chunks and a part
-        n = 3 * disturbances._CHUNK_ELEMENTS // (16 * lam.size) + 1
-        edges = np.linspace(0.0, 0.1 * n, n + 1)
-        for method in (d.exp_convolution, d.exp_convolution_derivative):
-            batch = method(lam, edges[:-1], edges[1:])
-            assert batch.shape == (n, lam.size)
-            for i in range(n):
-                assert np.array_equal(batch[i], method(lam, float(edges[i]),
-                                                       float(edges[i + 1])))
+        edges = np.linspace(-0.2, 4.3, 301)
+        for d in batch_signals():
+            for method in (d.exp_convolution, d.exp_convolution_derivative):
+                batch = method(lam, edges[:-1], edges[1:])
+                assert batch.shape == (edges.size - 1, lam.size)
+                for i in range(edges.size - 1):
+                    assert np.array_equal(batch[i], method(lam, float(edges[i]),
+                                                           float(edges[i + 1])))
 
     @pytest.mark.parametrize("n_store", [8, 160])
     @pytest.mark.parametrize("d", [DisturbanceSignal.smoothed_step(1.0, 0.5),
