@@ -35,6 +35,7 @@ CONFIGS = {"x.cfg": _config(TRANSPORT), "negq.cfg": _config(CONSTANT),
            "y.cfg": _config(TRANSPORT, v="2", k="0.3", a="1", form="y"),
            "robin.cfg": _config(CONSTANT, q="0.5", r="1", a2="0", b1="2", b2="1"),
            "robin-inlet.cfg": _config(CONSTANT, q="1", r="1", a2="0", b2="-1"),
+           "robin-both.cfg": _config(CONSTANT, q="1", r="1", b2="-1"),
            **{f"bad_{k}_{i}.cfg": _config(TRANSPORT, **{k: v}) for i, (k, v) in enumerate(BAD)}}
 
 ISS = "--verify-iss --iss-output iss.csv"
@@ -51,7 +52,7 @@ GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg
         "--config ../y.cfg", "--case transport --a 1e14", "--case transport --a nan",
         "--case transport --D 0", "--case transport --v -1", "--case backstepping --c -1",
         "--case transport --zeta 1e6 --a 1", "--case transport --zeta 128 --a inf",
-        "--config ../robin-inlet.cfg"]
+        "--config ../robin-inlet.cfg", "--config ../robin-both.cfg"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
             "--case backstepping --c 2 --D 0.5 --modes 16", "--modes 8",
             *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"]]
@@ -73,7 +74,8 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "spectral --modes 8", f"lifted --modes 8 {ISS}",
             f"fd --case transport --zeta 1 --a 1 --disturbance smoothed-step --ramp 0.3 {ISS}",
             "spectral --case transport --zeta 0.180771 --a 1 --disturbance smoothed-step "
-            "--ramp 0.35 --T 2 --store 40 --modes 32"]
+            "--ramp 0.35 --T 2 --store 40 --modes 32",
+            "spectral --disturbance smoothed-step --T 1e62"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 

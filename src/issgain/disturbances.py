@@ -102,9 +102,12 @@ class DisturbanceSignal:
             piece = np.searchsorted(self.breaks, ts, side="right")
             local, coefs = ts - self.origins[piece], self.coefs[piece]
             out, power = np.zeros_like(ts), np.ones_like(ts)
-            for m in range(order, coefs.shape[-1]):
-                out = out + coefs[..., m] * power * math.perm(m, order)
-                power = power * local
+            with np.errstate(over="ignore", invalid="ignore"):
+                for m in range(order, coefs.shape[-1]):
+                    # a zero coefficient adds 0, also where its power has overflowed
+                    term = coefs[..., m] * power * math.perm(m, order)
+                    out = out + np.where(coefs[..., m] != 0.0, term, 0.0)
+                    power = power * local
         return out.reshape(t.shape)
 
     def exp_convolution(self, lam: float | np.ndarray, t0: float | np.ndarray,
@@ -171,8 +174,11 @@ class DisturbanceSignal:
             for k in range(len(c) - 1):
                 for m in range(len(c) - 2, k - 1, -1):
                     c[m] = c[m] + shift * c[m + 1]
-            moments = _j_moments(rates, delta, len(c) - 1)
-            part = sum(ck[:, None] * jk for ck, jk in zip(c, moments))
+            with np.errstate(over="ignore", invalid="ignore"):
+                moments = _j_moments(rates, delta, len(c) - 1)
+                # a zero coefficient adds 0, also where its moment has overflowed
+                part = sum(np.where(ck[:, None] != 0.0, ck[:, None] * jk, 0.0)
+                           for ck, jk in zip(c, moments))
             total[rows] = part if step == 0 else total[rows] * np.exp(-rates * delta) + part
         return total.reshape(start.shape + lam.shape)
 

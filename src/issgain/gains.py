@@ -22,14 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
+from scipy.special import zeta as hurwitz_zeta
 
 from .errors import InadmissibleCase, UncertifiedHypothesis
 from .sturm_liouville import (
     HYPOTHESIS_MIN_MODES,
     SLProblem,
     Spectrum,
-    _power_law_tail,
     solve_spectrum,
     solve_steady_bvp,
     weighted_norm,
@@ -160,17 +159,18 @@ def transport_series_terms(zeta: float, a: float, N: int) -> np.ndarray:
     return 2.0 * x ** 3 / (_PI2 * corr * (zeta ** 2 / _PI2 + x ** 2) ** 2)
 
 
-def transport_series_tail(zeta_sq: float, a: float, N: int) -> float:
-    """Estimate of the squared-gain series remainder beyond N terms.
+def _series_remainder(N: int, shift: float, c2: float, c4: float) -> float:
+    """sum_{n>N} c2/omega_n^2 + c4/omega_n^4 with omega_n = (n - shift) pi, clipped at
+    0: c2/pi^2 zeta(2, nu) + c4/pi^4 zeta(4, nu), nu = N + 1 - shift, through the
+    Hurwitz zeta function (DLMF 25.11.1).
 
-    Two-term asymptotics: sum_{n>N} 2/omega_n^2 - 4 zeta^2/omega_n^4 with
-    omega_n ~ (n - mu_inf) pi; relative error O(1/N) of the remainder.
-    ``zeta_sq`` is q/p, negative for a constant potential q < 0.
+    For series whose terms are c2/omega_n^2 + c4/omega_n^4 + O(n^-6) it is
+    off by O(N^-5).  ``shift`` is 1/2 per Robin end.
+    A zero coefficient adds 0, also at nu = 0, where its zeta is infinite.
     """
-    mu_inf = 0.0 if math.isinf(a) else 0.5
-    nu = N + 1.0 - mu_inf
-    tail = 2.0 / _PI2 * polygamma(1, nu)
-    tail -= 4.0 * zeta_sq / _PI4 * polygamma(3, nu) / 6.0
+    nu = N + 1.0 - shift
+    tail = c2 / _PI2 * hurwitz_zeta(2.0, nu) if c2 else 0.0
+    tail += c4 / _PI4 * hurwitz_zeta(4.0, nu) if c4 else 0.0
     return float(max(tail, 0.0))
 
 
@@ -222,7 +222,8 @@ def transport_gain(case: TransportCase, N: int = DEFAULT_SERIES_N,
     else:
         gain = transport_gain_closed(zeta, case.a)
         s_partial = float(np.sum(transport_series_terms(zeta, case.a, N)))
-        series = math.sqrt(s_partial + transport_series_tail(zeta ** 2, case.a, N))
+        shift = 0.0 if math.isinf(case.a) else 0.5
+        series = math.sqrt(s_partial + _series_remainder(N, shift, 2.0, -4.0 * zeta ** 2))
     return _report(gain, "closed_form", N, 0.0, epsilon,
                    decay=case.lambda1(), bnorm=1.0,
                    series_value=series, closed_value=gain,
@@ -283,28 +284,29 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
     """Series route: partial sum of p(0)^2 lambda_n^{-2}|b1 phi'(0)-b2 phi(0)|^2.
 
     ``gain_C`` is the square root of the certified partial sum;
-    ``tail_estimate`` is the estimated remainder converted to gain units, so
-    ``gain_C + tail_estimate`` is the tail-corrected constant.  Constant
-    coefficients with a Dirichlet inlet take the remainder from the
-    transport asymptotics at zeta^2 = q/p, scaled by r; otherwise it comes
-    from a power-law fit of the computed terms.
+    ``tail_estimate`` is the remainder :func:`_series_remainder` converted to
+    gain units, so ``gain_C + tail_estimate`` is the tail-corrected constant.
+    A certified spectrum implies constant p, q, r, and then the terms tend to
+    c2/omega_n^2 + c4/omega_n^4, omega_n = (n - shift) pi, shift 1/2 per Robin
+    end.  A Dirichlet inlet (b2 = 0) has terms 2r omega^2/(omega^2 + q/p)^2, so
+    c2 = 2r and c4 = -4rq/p.  A Robin inlet has b1n phi'(0) - b2n phi(0) =
+    -(s/b2) phi(0), phi_n(0)^2 -> 2/r and lambda_n ~ p omega_n^2/r, so c2 = 0
+    and c4 = 2r(s/b2)^2.  Certifying variable coefficients needs this
+    remainder extended.
     """
     if N < 0 or N > spectrum.n_modes:
         raise ValueError("need 0 <= N <= number of computed modes")
     _certify(spectrum)
     s = problem.boundary_norm
     b1n, b2n = problem.b1 / s, problem.b2 / s
-    p0 = float(problem.p(np.zeros(1))[0])
+    p0, q0, r0 = problem.p.value, problem.q.value, problem.r.value
     lam = spectrum.eigenvalues[:N]
     num = p0 * (b1n * spectrum.derivatives_at_0[:N] - b2n * spectrum.values_at_0[:N])
-    terms = (num / lam) ** 2
-    partial = float(np.sum(terms))
-    if problem.has_constant_coefficients and problem.b2 == 0.0:
-        exit_a = math.inf if problem.a2 == 0.0 else problem.a1 / problem.a2
-        tail_sq = problem.r.value * transport_series_tail(
-            problem.q.value / problem.p.value, exit_a, N)
-    else:
-        tail_sq = _power_law_tail(terms, N)
+    partial = float(np.sum((num / lam) ** 2))
+    shift = 0.5 * (problem.b2 != 0.0) + 0.5 * (problem.a2 != 0.0)
+    c2, c4 = ((2.0 * r0, -4.0 * r0 * q0 / p0) if problem.b2 == 0.0
+              else (0.0, 2.0 * r0 * (s / problem.b2) ** 2))
+    tail_sq = _series_remainder(N, shift, c2, c4)
     gain = math.sqrt(partial)
     tail_gain = math.sqrt(partial + tail_sq) - gain
     return _report(gain, "series", N, tail_gain, epsilon,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
-from scipy.special import zeta as hurwitz_zeta
 
 from .coefficients import Coefficient
 from .errors import (
@@ -152,7 +151,7 @@ class HypothesisReport:
     partial_sum: float
     tail_bound: float
     certified: bool
-    method: str  # "transport-bound" | "heuristic-fit" | "none"
+    method: str  # "transport-bound" (constant p, q, r) | "none" (not certified)
 
 
 def _assemble(problem: SLProblem, resolution: int):
@@ -298,27 +297,13 @@ def _tail_constant_coefficients(problem: SLProblem, n_from: int) -> float:
     return sup_phi * r0 * total
 
 
-def _power_law_tail(values: np.ndarray, n_from: int) -> float:
-    """sum_{n > n_from} beta n^-gamma, fitting v_n ~ beta n^-gamma in log-log to
-    the positive entries of the second half of ``values`` = (v_1, v_2, ...);
-    inf when fewer than 3 entries fit or gamma <= 1."""
-    n = np.arange(1, values.size + 1, dtype=float)
-    half = values.size // 2
-    good = values[half:] > 0
-    if good.sum() < 3:
-        return math.inf
-    slope, logbeta = np.polyfit(np.log(n[half:][good]), np.log(values[half:][good]), 1)
-    if slope >= -1.0:
-        return math.inf
-    return float(math.exp(logbeta) * hurwitz_zeta(-slope, n_from + 1))
-
-
 def check_hypothesis_H(spectrum: Spectrum, problem: SLProblem) -> HypothesisReport:
     """Certify positivity of lambda_1 and summability of lambda_n^{-1} sup|phi_n|.
 
     The tail beyond the computed modes is bounded analytically for
-    constant-coefficient problems; otherwise a heuristic power-law fit is
-    reported and the hypothesis is left uncertified.
+    constant-coefficient problems (method "transport-bound").  No bound is
+    known for variable coefficients or for lambda_1 <= 0: the report then has
+    ``tail_bound = inf``, ``certified = False`` and method "none".
     """
     if spectrum.n_modes < HYPOTHESIS_MIN_MODES:
         raise ValueError(f"hypothesis check needs at least {HYPOTHESIS_MIN_MODES} computed modes")
@@ -329,14 +314,10 @@ def check_hypothesis_H(spectrum: Spectrum, problem: SLProblem) -> HypothesisRepo
     pos = lam > 0.0
     partial = float(np.sum(sup_phi[pos] / lam[pos]))
 
-    if not positive:
-        return HypothesisReport(lambda1, False, partial, math.inf, False, "none")
-    if problem.has_constant_coefficients:
-        tail = _tail_constant_coefficients(problem, spectrum.n_modes)
-        certified = math.isfinite(tail)
-        return HypothesisReport(lambda1, True, partial, tail, certified, "transport-bound")
-    tail = 1.05 * float(sup_phi.max()) * _power_law_tail(1.0 / lam, spectrum.n_modes)
-    return HypothesisReport(lambda1, True, partial, tail, False, "heuristic-fit")
+    if not (positive and problem.has_constant_coefficients):
+        return HypothesisReport(lambda1, positive, partial, math.inf, False, "none")
+    tail = _tail_constant_coefficients(problem, spectrum.n_modes)
+    return HypothesisReport(lambda1, True, partial, tail, math.isfinite(tail), "transport-bound")
 
 
 def _on_grid(problem: SLProblem, active: np.ndarray, datum, lo: int) -> np.ndarray:

@@ -99,14 +99,16 @@ class TestSpectrumCommand:
                      "--modes", "12", "--output", str(out)])
         assert code == 1
 
-    def test_form_y_heuristic_tail_bound(self, tmp_path, capsys):
+    def test_form_y_uncertified_without_tail_bound(self, tmp_path, capsys):
+        # variable coefficients have no tail bound; none is fitted in its place
         cfg = tmp_path / "formy.cfg"
         cfg.write_text(CONFIG_FORM_Y)
         assert main(["spectrum", "--config", str(cfg), "--modes", "16",
                      "--output", str(tmp_path / "s.csv")]) == 1
         out = capsys.readouterr().out
-        assert "tail_bound = 0.0242487157524\n" in out
-        assert "method = heuristic-fit\n" in out
+        assert "tail_bound = inf\n" in out
+        assert "certified = False\n" in out
+        assert "method = none\n" in out
 
     def test_malformed_config_exit_three(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -419,6 +421,18 @@ class TestSimulateCommand:
         assert err.startswith("numerical failure: kernel")
         assert "overflow" in err
         assert not out.exists()
+
+    def test_spectral_smoothed_step_at_huge_times(self, tmp_path, capsys):
+        # the step's zero coefficients add 0 where their powers of t overflow
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--solver", "spectral", "--disturbance", "smoothed-step",
+                         "--T", "1e62", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in read(out)[1:]])
+        assert rows[-1, 0] == 1e62
+        assert np.all(np.isfinite(rows))
 
     def test_lifted_defaults_project_like_fd(self, tmp_path):
         # constant d = 1 and x0 = 0 miss the inlet datum: both routes project x0

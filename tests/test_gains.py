@@ -20,6 +20,7 @@ from issgain import (
     transport_gain_closed,
 )
 from issgain.csvio import kv_block
+from issgain.gains import _series_remainder
 from oracles import analytic_transport_spectrum, steady_state_coefficients
 
 SQRT3_INV = 0.5773502691896258
@@ -188,6 +189,24 @@ class TestGenericRoutes:
         assert r2.iss_gain * scaled.boundary_norm == pytest.approx(
             r1.iss_gain * base.boundary_norm, rel=1e-10)
 
+    @pytest.mark.parametrize("a1, a2", [(1, 0), (1, 1), (0, 1)],
+                             ids=["dirichlet-exit", "robin-exit", "neumann-exit"])
+    def test_route_agreement_robin_inlet(self, a1, a2):
+        # the remainder's 2r(s/b2)^2/omega_n^4 leaves the tail-corrected series
+        # within the BVP route's accuracy at the default N = 16
+        prob = build_problem(2.0, 1.0, 0.5, a1, a2, 1, -1, 256)
+        spec = solve_spectrum(prob, 16)
+        series = gain_series(prob, spec, 16).tail_corrected
+        bvp = gain_bvp(prob, spectrum=spec).gain_C
+        assert abs(series - bvp) <= 3e-7 * bvp
+
+    def test_robin_inlet_series_scale_invariant(self):
+        # (b1, b2) -> kappa (b1, b2) changes neither the spectrum nor s/b2
+        r1, r2 = (gain_series(prob, solve_spectrum(prob, 16), 16).tail_corrected
+                  for prob in (build_problem(1.0, 1.0, 1.0, 1, 1, 1, -0.5, 256),
+                               build_problem(1.0, 1.0, 1.0, 1, 1, 3, -1.5, 256)))
+        assert r2 == pytest.approx(r1, rel=1e-12)
+
     def test_report_envelope_fields(self):
         rep = backstepping_gain(1.0, 1.0, epsilon=0.25)
         assert rep.iss_overshoot == pytest.approx(math.sqrt(1.25), rel=1e-14)
@@ -202,6 +221,30 @@ class TestGenericRoutes:
             assert gamma * rep.boundary_norm >= rep.gain_C
         big = rep.gain_C * math.sqrt(1 + 1e-12)
         assert big == pytest.approx(rep.gain_C, rel=1e-9)
+
+
+class TestSeriesRemainder:
+    COEFS = [(2.0, -12.0), (0.0, 8.0), (1.5, 0.7)]
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("N", [0, 16, 10_000])
+    def test_matches_direct_summation(self, shift, N):
+        if N + 1 - shift == 0:
+            # omega_1 = 0: the first term, and so the remainder, is infinite
+            assert _series_remainder(N, shift, 0.0, 8.0) == math.inf
+            return
+        K = 10 ** 6                                 # terms summed directly
+        omega = (np.arange(N + 1, N + K + 1) - shift) * math.pi
+        # the rest, n > N + K, as the integral from N + K + 1/2: error O(K^-3)
+        x = (N + K + 0.5 - shift) * math.pi
+        for c2, c4 in self.COEFS:
+            direct = float(np.sum(c2 / omega ** 2 + c4 / omega ** 4))
+            direct += (c2 / x + c4 / (3.0 * x ** 3)) / math.pi
+            assert _series_remainder(N, shift, c2, c4) == pytest.approx(max(direct, 0.0),
+                                                                         rel=1e-10)
+
+    def test_clipped_at_zero(self):
+        assert _series_remainder(16, 0.0, 2.0, -1e9) == 0.0
 
 
 class TestSweep:
