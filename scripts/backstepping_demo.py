@@ -22,7 +22,7 @@ from issgain import (
     uniform_grid,
     verify_iss,
 )
-from issgain.csvio import KERNEL_HEADER, kernel_rows, trajectory_header, trajectory_rows, write_csv
+from issgain.csvio import kernel_table, trajectory_table, write_csv
 
 
 def main():
@@ -33,15 +33,14 @@ def main():
         inverse = solve_inverse_kernel(cfg, m)
         print(f"c = {c}: lam_bar = {cfg.lam_bar}, ||k|| = {kernel.norm:.8f}, "
               f"||l|| = {inverse.norm:.8f}")
-        write_csv(KERNEL_HEADER, kernel_rows(kernel), f"kernel_c{c:g}.csv")
+        write_csv(*kernel_table(kernel), f"kernel_c{c:g}.csv")
 
         grid = uniform_grid(m)
         x0 = GridFunction(grid, 0.5 * np.sin(math.pi * grid))
         y0 = apply_transform(inverse, x0)
         result = simulate_closed_loop(cfg, y0, 5e-4, 1.5, kernel=kernel,
                                       inverse_kernel=inverse, n_store=100)
-        write_csv(trajectory_header(result.y), trajectory_rows(result.y),
-                  f"closed_loop_c{c:g}.csv")
+        write_csv(*trajectory_table(result.y), f"closed_loop_c{c:g}.csv")
 
         env = closed_loop_bound(cfg, kernel.norm, inverse.norm)
         check = verify_iss(result.y, env, epsilons=(0.1, 1.0, 10.0), slack=1e-3)

@@ -13,11 +13,13 @@ carries) over the untraced (``--trace 0``) pairs, and for every per-layer
 metric over the traced (``--trace 1``) pairs under ``per_layer``, both
 sides' median and quartiles, every run, and the number of pairs the change
 wins by the metric's ``better`` direction; ties count for neither side.
+Each side is named by its records' ``git_revision`` and by :func:`source_digest`.
 Standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -34,6 +36,16 @@ def _records(checkout: Path, trace: bool) -> dict:
         record = json.loads(path.read_text())
         found[(record["workload"], record["seed"])] = record
     return found
+
+
+def source_digest(checkout: Path) -> str:
+    """sha256 over ``src/issgain/*.py`` and ``perfbench/*.py``, each path and its bytes."""
+    digest = hashlib.sha256()
+    files = [*checkout.glob("src/issgain/*.py"), *checkout.glob("perfbench/*.py")]
+    for rel in sorted(path.relative_to(checkout).as_posix() for path in files):
+        data = hashlib.sha256((checkout / rel).read_bytes()).hexdigest()
+        digest.update(f"{rel}\0{data}\n".encode())
+    return digest.hexdigest()
 
 
 def _one(records, key: str):
@@ -101,6 +113,7 @@ def snapshot(parent: Path, change: Path, label: str) -> dict:
 
     return {"label": label,
             "git_revision": {side: _one(recs, "git_revision") for side, recs in used.items()},
+            "source_digest": {"parent": source_digest(parent), "change": source_digest(change)},
             **{key: _one(used["parent"] + used["change"], key)
                for key in ("machine", "numpy", "scipy", "seconds")},
             "workloads": workloads}

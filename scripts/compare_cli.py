@@ -69,6 +69,8 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "closed-loop --resolution 32 --output cl.csv", f"closed-loop --resolution 64 {ISS}",
             "closed-loop --resolution 200 --disturbance smoothed-step --output cl.csv",
             "closed-loop --plant-p 50 --c 2 --output cl.csv",
+            "fd --case transport --disturbance sinusoid --wide --output traj.csv",
+            "closed-loop --resolution 64 --wide --output cl.csv",
             "spectral", "spectral --config ../robin.cfg", "spectral --config ../robin-inlet.cfg",
             f"fd --config ../y.cfg {ISS}", f"spectral --config ../y.cfg {ISS}",
             "spectral --modes 8", f"lifted --modes 8 {ISS}",

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from issgain import sweep_figure1
-from issgain.csvio import write_csv
+from issgain.csvio import sweep_table, write_csv
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
     for form in ("derivation", "legacy"):
         table = sweep_figure1(zetas, advection_form=form)
         path = f"{args.prefix}_{form}.csv"
-        write_csv(table.HEADER, table.rows(), path)
+        write_csv(*sweep_table(table), path)
         crossings = table.crossovers(math.inf)
         print(f"[{form}] wrote {path}")
         print(f"  ordering decreasing in exit parameter: {table.ordering_ok()}")

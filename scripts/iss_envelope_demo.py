@@ -21,7 +21,7 @@ from issgain import (
     transport_problem,
     verify_iss,
 )
-from issgain.csvio import ISS_HEADER, trajectory_header, trajectory_rows, write_csv
+from issgain.csvio import iss_table, trajectory_table, write_csv
 
 
 def main():
@@ -41,10 +41,9 @@ def main():
         fd = simulate_fd(problem, d, x0, 5e-4, 1.5, n_store=120)
         sp = simulate_spectral(problem, spectrum, d, x0, 1.5, N=32, n_store=120)
         for solver, traj in (("fd", fd), ("spectral", sp)):
-            write_csv(trajectory_header(traj), trajectory_rows(traj),
-                      f"trajectory_{name}_{solver}.csv")
+            write_csv(*trajectory_table(traj), f"trajectory_{name}_{solver}.csv")
             check = verify_iss(traj, envelope, epsilons=(0.1, 1.0, 10.0), slack=1e-3)
-            write_csv(ISS_HEADER, check.rows(), f"iss_{name}_{solver}.csv")
+            write_csv(*iss_table(check), f"iss_{name}_{solver}.csv")
             margins = ", ".join(f"eps={e}: {m:+.4f}" for e, m in
                                 zip(check.epsilons, check.min_margins))
             print(f"{name}/{solver}: pass={check.passed}  min margins: {margins}")

@@ -40,7 +40,8 @@ from .grids import (
     tail_quadrature_matrix,
     uniform_grid,
 )
-from .pde_sim import IssEnvelope, Trajectory, _crank_nicolson, _store_indices, _time_steps
+from .pde_sim import (DEFAULT_STORE, IssEnvelope, Trajectory, _crank_nicolson, _store_indices,
+                      _time_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +146,7 @@ class ClosedLoopResult:
 def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: float,
                          kernel: Kernel | None = None,
                          inverse_kernel: Kernel | None = None,
-                         n_store: int = 160) -> ClosedLoopResult:
+                         n_store: int = DEFAULT_STORE) -> ClosedLoopResult:
     """Crank-Nicolson closed loop with the feedback folded in implicitly.
 
     The plant y_t = D y_zz + p y is the Dirichlet problem p = D, q = -p, r = 1

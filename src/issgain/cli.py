@@ -33,6 +33,7 @@ from .gains import (
 )
 from .grids import GridFunction
 from .pde_sim import (
+    DEFAULT_STORE,
     IssEnvelope,
     _require_iss_settings,
     advection_exact,
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "closed-loop"], default="fd")
     p_sim.add_argument("--dt", type=float, default=1e-3)
     p_sim.add_argument("--T", type=float, default=1.0)
-    p_sim.add_argument("--store", type=int, default=160)
+    p_sim.add_argument("--store", type=int, default=DEFAULT_STORE)
     p_sim.add_argument("--modes", type=int, default=32)
     p_sim.add_argument("--disturbance", choices=["constant", "sinusoid", "smoothed-step"],
                        default="constant")
@@ -172,8 +173,7 @@ def cmd_spectrum(args) -> int:
     problem = _problem_from_args(args)
     spectrum = solve_spectrum(problem, args.modes)
     report = spectrum.hypothesis
-    csvio.write_csv(csvio.spectrum_header(spectrum), csvio.spectrum_rows(spectrum),
-                    args.output)
+    csvio.write_csv(*csvio.spectrum_table(spectrum), args.output)
     sink = sys.stderr if args.output in (None, "-") else sys.stdout
     if report is None:
         print("hypothesis check skipped (needs >= 10 modes)", file=sink)
@@ -223,9 +223,11 @@ def cmd_gain(args) -> int:
 def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
+    if not all(math.isfinite(z) and z > 0 for z in (args.zeta_min, args.zeta_max)):
+        raise ConfigError("zeta grid must be finite and positive")   # np.linspace warns on inf
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
     table = sweep_figure1(zetas, advection_form=args.advection_form)
-    csvio.write_csv(table.HEADER, table.rows(), args.output)
+    csvio.write_csv(*csvio.sweep_table(table), args.output)
     sink = sys.stderr if args.output in (None, "-") else sys.stdout
     print(f"ordering_decreasing_in_a = {table.ordering_ok()}", file=sink)
     flags = table.nonincreasing_columns()
@@ -283,8 +285,7 @@ def cmd_simulate(args) -> int:
         traj = simulate_closed_loop(cfg, GridFunction(grid, y0), args.dt, args.T,
                                     kernel=kernel, inverse_kernel=inverse, n_store=args.store).y
         if args.kernel_output:
-            csvio.write_csv(csvio.KERNEL_HEADER, csvio.kernel_rows(kernel),
-                            args.kernel_output)
+            csvio.write_csv(*csvio.kernel_table(kernel), args.kernel_output)
     else:
         problem = _problem_from_args(args)
         d0 = float(d.value(np.asarray(0.0)))
@@ -299,8 +300,7 @@ def cmd_simulate(args) -> int:
             else:
                 traj = simulate_via_lifting(problem, spectrum, d, x0, args.T,
                                             N=args.modes, n_store=args.store)
-    csvio.write_csv(csvio.trajectory_header(traj, args.wide),
-                    csvio.trajectory_rows(traj, args.wide), args.output)
+    csvio.write_csv(*csvio.trajectory_table(traj, args.wide), args.output)
     if not args.verify_iss:
         return 0
     if args.solver == "closed-loop":
@@ -308,7 +308,7 @@ def cmd_simulate(args) -> int:
     elif args.solver != "advection":
         envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
-    csvio.write_csv(csvio.ISS_HEADER, report.rows(), args.iss_output)
+    csvio.write_csv(*csvio.iss_table(report), args.iss_output)
     return 0 if report.passed else 2
 
 

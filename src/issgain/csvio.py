@@ -1,12 +1,15 @@
-"""Deterministic CSV output: 12 significant digits, period decimal, newline rows."""
+"""Deterministic CSV output: 12 significant digits, period decimal, newline rows.
+Each ``*_table`` builder returns a header and its columns for :func:`write_csv`."""
 from __future__ import annotations
 
 import dataclasses
 import sys
-from contextlib import contextmanager
+
+import numpy as np
 
 
 def fmt(x) -> str:
+    """One printed value, as :func:`write_csv` prints it in a column."""
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (str, int)):
@@ -14,20 +17,19 @@ def fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-@contextmanager
-def _open_out(where):
+def write_csv(header: str, columns, where=None) -> None:
+    """Write ``header`` and the rows of equal-length 1-D ``columns`` to the path
+    ``where`` (stdout for None or "-"): integer and bool columns as ``%d``, the
+    rest as ``%.12g``.  The file is opened only once the text is built."""
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in columns) + "\n"
+    text = header + "\n" + "".join(map(template.__mod__,
+                                       zip(*(c.tolist() for c in columns), strict=True)))
     if where is None or where == "-":
-        yield sys.stdout
+        sys.stdout.write(text)
     else:
         with open(where, "w", newline="\n") as fh:
-            yield fh
-
-
-def write_csv(header: str, rows, where=None) -> None:
-    with _open_out(where) as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+            fh.write(text)
 
 
 def kv_block(record) -> str:
@@ -43,46 +45,39 @@ def kv_block(record) -> str:
     return "\n".join(lines)
 
 
-def spectrum_rows(spectrum):
-    for i in range(spectrum.n_modes):
-        yield (i + 1, spectrum.eigenvalues[i], spectrum.values_at_0[i],
-               spectrum.derivatives_at_0[i], *spectrum.eigenfunctions[i])
+def spectrum_table(spectrum):
+    """One row per mode: n, lambda, phi(0), phi'(0) and the grid samples."""
+    samples = "".join(f",phi[{j}]" for j in range(spectrum.grid.size))
+    return ("n,lambda,phi_at_0,dphi_dz_at_0" + samples,
+            [np.arange(1, spectrum.n_modes + 1), spectrum.eigenvalues, spectrum.values_at_0,
+             spectrum.derivatives_at_0, *spectrum.eigenfunctions.T])
 
 
-def spectrum_header(spectrum) -> str:
-    sample_cols = ",".join(f"phi[{j}]" for j in range(spectrum.grid.size))
-    return "n,lambda,phi_at_0,dphi_dz_at_0," + sample_cols
-
-
-def trajectory_rows(traj, wide: bool = False):
-    control = traj.extras.get("control")
-    for i in range(traj.times.size):
-        base = [traj.times[i], traj.norms[i], traj.d_values[i]]
-        if control is not None:
-            base.append(control[i])
-        if wide:
-            yield (*base, *traj.values[i])
-        else:
-            yield tuple(base)
-
-
-def trajectory_header(traj, wide: bool = False) -> str:
-    head = "t,norm_r,d"
+def trajectory_table(traj, wide: bool = False):
+    """One row per stored time: t, the norm, d, the closed-loop control u if
+    there is one and, if ``wide``, the grid samples."""
+    head, columns = "t,norm_r,d", [traj.times, traj.norms, traj.d_values]
     if traj.extras.get("control") is not None:
-        head += ",u"
+        head, columns = head + ",u", columns + [traj.extras["control"]]
     if wide:
-        head += "," + ",".join(f"x[{j}]" for j in range(traj.grid.size))
-    return head
+        head += "".join(f",x[{j}]" for j in range(traj.grid.size))
+        columns += list(traj.values.T)
+    return head, columns
 
 
-ISS_HEADER = "epsilon,min_margin,argmin_t,pass"
+def kernel_table(kernel):
+    """The samples k(z, s) on the upper triangle z <= s, row by row."""
+    i, j = np.triu_indices(kernel.grid.size)
+    return "z,s,k", [kernel.grid[i], kernel.grid[j], kernel.values[i, j]]
 
 
-def kernel_rows(kernel):
-    m = kernel.resolution
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            yield (kernel.grid[i], kernel.grid[j], kernel.values[i, j])
+def sweep_table(table):
+    """One row per zeta of a figure-1 sweep: G per exit parameter, then advection."""
+    return ("zeta,G_a0,G_a1,G_ainf,G_advection",
+            [table.zetas, *(table.g_columns[a] for a in table.a_values), table.advection])
 
 
-KERNEL_HEADER = "z,s,k"
+def iss_table(report):
+    """One row per epsilon of an ISS check; ``pass`` prints as 0/1."""
+    return ("epsilon,min_margin,argmin_t,pass",
+            [report.epsilons, report.min_margins, report.argmin_times, report.per_epsilon_pass])

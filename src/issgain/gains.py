@@ -35,7 +35,7 @@ from .sturm_liouville import (
 )
 
 DEFAULT_SERIES_N = 10_000
-SWEEP_EXITS = (0.0, 1.0, math.inf)    # the exit parameters a of SweepTable.HEADER
+SWEEP_EXITS = (0.0, 1.0, math.inf)    # the exit parameters a of the sweep columns
 
 _PI2 = math.pi ** 2
 _PI4 = math.pi ** 4
@@ -347,13 +347,6 @@ class SweepTable:
     g_columns: dict
     advection: np.ndarray
     advection_form: str
-
-    HEADER = "zeta,G_a0,G_a1,G_ainf,G_advection"
-
-    def rows(self):
-        cols = [self.g_columns[a] for a in self.a_values]
-        for i, z in enumerate(self.zetas):
-            yield (z, *[c[i] for c in cols], self.advection[i])
 
     def ordering_ok(self) -> bool:
         """Strict decrease of G along the a_values list, every row."""

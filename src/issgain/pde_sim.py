@@ -425,10 +425,6 @@ class ISSCheckReport:
     slack: float
     passed: bool
 
-    def rows(self):
-        yield from zip(self.epsilons, self.min_margins, self.argmin_times,
-                       self.per_epsilon_pass)
-
 
 def _require_iss_settings(epsilons, slack: float):
     """Reject epsilons that are not finite and positive, or a slack not finite and >= 0."""

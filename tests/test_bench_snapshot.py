@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -50,6 +51,8 @@ def test_pairs_by_workload_and_seed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     snap = json.loads(out.read_text())
     assert snap["git_revision"] == {"parent": "aaa", "change": "bbb"}
+    assert {side: len(digest) for side, digest in snap["source_digest"].items()} == {
+        "parent": 64, "change": 64}
     assert snap["machine"] == MACHINE
     assert (snap["numpy"], snap["scipy"]) == ("2.0", "1.14")
     w = snap["workloads"]["w"]
@@ -134,3 +137,18 @@ def test_untraced_only_has_no_per_layer(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "per_layer" not in json.loads(out.read_text())["workloads"]["w"]
+
+
+def test_source_digest_names_the_code(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name in ("a", "b", "c"):
+        (tmp_path / name / "src" / "issgain").mkdir(parents=True)
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "src" / "issgain" / "cli.py").write_text("x = 1\n")
+        (tmp_path / name / "perfbench" / "run.py").write_text("run = 1\n")
+    (tmp_path / "c" / "src" / "issgain" / "cli.py").write_text("x = 2\n")
+    digest = {name: module.source_digest(tmp_path / name) for name in ("a", "b", "c")}
+    assert digest["a"] == digest["b"]
+    assert digest["c"] != digest["a"]

@@ -616,6 +616,16 @@ def test_warnings_print_as_package_messages(tmp_path):
     assert ".py:" not in proc.stderr
 
 
+@pytest.mark.parametrize("bound", ["--zeta-max=inf", "--zeta-min=-inf"])
+def test_infinite_zeta_end_prints_only_the_config_error(tmp_path, bound):
+    # in a subprocess: in-process, pytest would capture a numpy warning before main prints it
+    proc = run_python("import sys; from issgain.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "sweep-fig1", bound, "--output", str(tmp_path / "f.csv"))
+    assert proc.returncode == 3
+    assert proc.stderr == "config error: zeta grid must be finite and positive\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_main_keeps_warnings_recordable_and_restores_format(tmp_path):
     before = warnings.formatwarning
     with pytest.warns(CompatibilityWarning):

@@ -19,7 +19,7 @@ from issgain import (
     transport_gain,
     transport_gain_closed,
 )
-from issgain.csvio import kv_block
+from issgain.csvio import kv_block, sweep_table
 from issgain.gains import _series_remainder
 from oracles import analytic_transport_spectrum, steady_state_coefficients
 
@@ -250,7 +250,7 @@ class TestSeriesRemainder:
 class TestSweep:
     def test_reference_row(self):
         table = sweep_figure1(np.array([1.0]))
-        row = next(iter(table.rows()))
+        row = [column[0] for column in sweep_table(table)[1]]
         assert row[0] == 1.0
         assert row[1] == pytest.approx(G_1_ZERO, abs=1e-12)
         assert row[2] == pytest.approx(G_1_ONE, abs=1e-12)
