@@ -7,6 +7,7 @@ digits; identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -25,6 +26,7 @@ from .errors import ConfigError, IssgainError, NumericalFailure, UncertifiedHypo
 from .gains import (
     TransportCase,
     backstepping_gain,
+    bvp_integral,
     gain_bvp,
     gain_series,
     sweep_figure1,
@@ -54,6 +56,7 @@ from .backstepping import (
 from .sturm_liouville import build_problem, solve_spectrum, solve_steady_bvp
 
 
+@functools.cache       # built once per process: no default is mutable
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="issgain",
@@ -185,7 +188,8 @@ def cmd_spectrum(args) -> int:
 def cmd_gain(args) -> int:
     if args.N < 1:
         raise ConfigError(f"--N must be at least 1, got {args.N}")
-    # closed forms serve the named cases; a config or a --q override takes series + BVP
+    # closed forms serve the named cases, and their lambda1 > 0 certifies them; a config
+    # or a --q override takes series + BVP, certified by one solved spectrum
     if args.config or args.q is not None:
         problem = _problem_from_args(args)
         spectrum = solve_spectrum(problem, args.modes)
@@ -205,7 +209,7 @@ def cmd_gain(args) -> int:
                                             args.D, args.N)
         rows = [("closed_form", main_report.closed_value),
                 ("series", main_report.series_value),
-                ("bvp_integral", gain_bvp(_problem_from_args(args)).gain_C)]
+                ("bvp_integral", bvp_integral(_problem_from_args(args)))]
     values = [v for _, v in rows]
     spread = max(values) - min(values)
     print("route,gain")

@@ -26,7 +26,7 @@ class GridMismatch(IssgainError):
 
 
 class ConvergenceFailure(NumericalFailure):
-    """Two-grid eigenvalue estimates disagree beyond tolerance."""
+    """The eigensolver fails, or two-grid eigenvalue estimates disagree beyond tolerance."""
 
 
 class SingularBVP(NumericalFailure):

@@ -313,25 +313,26 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
                    decay=float(spectrum.eigenvalues[0]), bnorm=s)
 
 
+def bvp_integral(problem: SLProblem) -> float:
+    """|| xtilde ||_r with datum sqrt(b1^2+b2^2): the squared norm is
+    Richardson-extrapolated across the grid and its refinement (both
+    second-order accurate).  Certifies nothing; see :func:`gain_bvp`."""
+    bv = problem.boundary_norm
+    s1 = weighted_norm(solve_steady_bvp(problem, bv), problem) ** 2
+    fine = problem.with_resolution(2 * problem.resolution)
+    s2 = weighted_norm(solve_steady_bvp(fine, bv), fine) ** 2
+    return math.sqrt(max((4.0 * s2 - s1) / 3.0, 0.0))
+
+
 def gain_bvp(problem: SLProblem, epsilon: float = 1.0,
              spectrum: Spectrum | None = None) -> GainReport:
-    """Integral route: C = || xtilde ||_r with datum sqrt(b1^2+b2^2).
-
-    The squared norm is Richardson-extrapolated across the grid and its
-    refinement (both second-order accurate).
-    """
+    """Integral route: :func:`bvp_integral`, certified by the spectrum's
+    hypothesis report, with the spectrum's lambda1 as the decay rate."""
     if spectrum is None:
         spectrum = solve_spectrum(problem, min(16, max(10, problem.resolution // 8)))
     _certify(spectrum)
-    bv = problem.boundary_norm
-    x1 = solve_steady_bvp(problem, bv)
-    s1 = weighted_norm(x1, problem) ** 2
-    fine = problem.with_resolution(2 * problem.resolution)
-    x2 = solve_steady_bvp(fine, bv)
-    s2 = weighted_norm(x2, fine) ** 2
-    gain = math.sqrt(max((4.0 * s2 - s1) / 3.0, 0.0))
-    return _report(gain, "bvp_integral", 0, 0.0, epsilon,
-                   decay=float(spectrum.eigenvalues[0]), bnorm=bv)
+    return _report(bvp_integral(problem), "bvp_integral", 0, 0.0, epsilon,
+                   decay=float(spectrum.eigenvalues[0]), bnorm=problem.boundary_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reference values the tests check the package against.
 
 Each is derived independently of the routes it checks: the exact eigendata and
-steady profile of the constant-coefficient transport family, and the operator
-identity K + L + K L = 0 of a mutually inverse pair of backstepping kernels.
+steady profile of the constant-coefficient transport family, the operator
+identity K + L + K L = 0 of a mutually inverse pair of backstepping kernels, and
+the eigenvalues of a discrete tridiagonal pencil by Sturm-count bisection.
 """
 from __future__ import annotations
 
@@ -49,6 +50,42 @@ def analytic_transport_spectrum(case: TransportCase, n_modes: int,
         return spectrum
     problem = transport_problem(case.D, case.v, case.k, case.a, resolution=resolution)
     return replace(spectrum, hypothesis=check_hypothesis_H(spectrum, problem))
+
+
+def sturm_eigenvalue(diag, off, mass, index: int, digits: int = 40) -> float:
+    """The ``index``-th (1-based) eigenvalue of T x = lam B x, T symmetric tridiagonal
+    with ``diag`` and ``off``, B = diag(``mass``) > 0, by bisection in ``digits``-digit
+    decimal arithmetic on the float entries taken as exact.
+
+    By Sylvester's law of inertia the number of eigenvalues below x is the number
+    of negative pivots of T - x B in the recurrence u_i = d_i - x b_i - o_{i-1}^2 / u_{i-1}.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        d = [Decimal(float(v)) for v in diag]
+        o2 = [Decimal(float(v)) ** 2 for v in off]
+        b = [Decimal(float(v)) for v in mass]
+        tiny = Decimal(10) ** (-2 * digits)
+
+        def below(x):
+            count, pivot = 0, d[0] - x * b[0]
+            for i in range(1, len(d) + 1):
+                if pivot == 0:
+                    pivot = -tiny
+                count += pivot < 0
+                if i < len(d):
+                    pivot = d[i] - x * b[i] - o2[i - 1] / pivot
+            return count
+
+        lo, hi = Decimal(-1), Decimal(1)
+        while below(lo) >= index:
+            lo *= 2
+        while below(hi) < index:
+            hi *= 2
+        while hi - lo > Decimal(10) ** (5 - digits) * max(abs(lo), abs(hi)):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) >= index else (mid, hi)
+        return float((lo + hi) / 2)
 
 
 def steady_state_coefficients(zeta: float, a: float) -> tuple[float, float]:

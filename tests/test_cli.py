@@ -14,6 +14,7 @@ import issgain.backstepping
 import issgain.cli
 import issgain.config
 import issgain.gains
+import issgain.sturm_liouville
 from issgain import Coefficient, DisturbanceSignal
 from issgain.cli import main
 from issgain.errors import CompatibilityWarning, SmoothnessWarning
@@ -93,6 +94,13 @@ class TestSpectrumCommand:
             assert np.array_equal(getattr(issgain.solve_spectrum(plain, 12), name),
                                   getattr(issgain.solve_spectrum(default, 12), name))
 
+    def test_stiff_robin_exit_lambda1(self, capsys):
+        # the exit row grows like a/h; it must not set the eigensolver's tolerance
+        assert main(["spectrum", "--case", "transport", "--zeta", "1", "--a", "1e12"]) == 0
+        (line,) = [l for l in capsys.readouterr().err.splitlines() if l.startswith("lambda1 = ")]
+        exact = issgain.gains.TransportCase.from_zeta(1.0, 1e12).lambda1()
+        assert abs(float(line.split(" = ")[1]) - exact) < 1e-8
+
     def test_negative_potential_exit_one(self, tmp_path):
         out = tmp_path / "spec.csv"
         code = main(["spectrum", "--case", "dirichlet-laplacian", "--q", "-20",
@@ -130,11 +138,11 @@ class TestGainCommand:
     def test_laplacian_bvp_route_on_D(self, monkeypatch, capsys):
         problems = []
 
-        def recording(problem, *args, **kwargs):
+        def recording(problem):
             problems.append(problem)
-            return issgain.gains.gain_bvp(problem, *args, **kwargs)
+            return issgain.gains.bvp_integral(problem)
 
-        monkeypatch.setattr(issgain.cli, "gain_bvp", recording)
+        monkeypatch.setattr(issgain.cli, "bvp_integral", recording)
         assert main(["gain", "--D", "3"]) == 0
         (problem,) = problems
         assert np.all(problem.p(problem.grid) == 3.0)
@@ -142,6 +150,11 @@ class TestGainCommand:
         assert "iss_decay_rate = 29.6088132033\n" in out
         assert float(out.split("bvp_integral,")[1].split()[0]) == pytest.approx(
             1 / math.sqrt(3), rel=1e-9)
+
+    def test_stiff_robin_exit_routes_agree(self, capsys):
+        assert main(["gain", "--case", "transport", "--zeta", "1", "--a", "1e14"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("max_disagreement,")[1].split()[0]) < 1e-8
 
     def test_transport_zeta_one(self, capsys):
         assert main(["gain", "--case", "transport", "--zeta", "1", "--a", "inf"]) == 0
@@ -179,7 +192,7 @@ class TestGainCommand:
         cfg.write_text(CONFIG_NEGATIVE_POTENTIAL)
         assert main(["gain", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "series_tail_corrected,3.38696575578\n" in out
+        assert "series_tail_corrected,3.38696575556\n" in out
         assert "bvp_integral,3.38696409784\n" in out
 
     def test_table_coefficients_uncertified_exit_one(self, tmp_path):
@@ -384,6 +397,31 @@ class TestSimulateCommand:
                      "--verify-iss", "--iss-output", str(tmp_path / "iss.csv")])
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, solves", [
+        (["gain", "--case", "transport", "--zeta", "1", "--a", "1"], 0),
+        (["gain", "--case", "backstepping", "--c", "1"], 0),
+        (["gain", "--config", "CONFIG"], 1),
+        (["spectrum", "--case", "transport", "--modes", "12", "--output", "OUT"], 1),
+        (["simulate", "--solver", "spectral", "--case", "transport", "--resolution", "128",
+          "--T", "0.4", "--modes", "16", "--output", "OUT"], 1),
+        (["simulate", "--solver", "fd", "--case", "transport", "--resolution", "128",
+          "--T", "0.2", "--verify-iss", "--output", "OUT", "--iss-output", "ISS"], 1),
+    ])
+    def test_solves_at_most_one_spectrum(self, tmp_path, monkeypatch, argv, solves):
+        calls = []
+        original = issgain.sturm_liouville.solve_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(issgain.cli, "solve_spectrum", counted)
+        monkeypatch.setattr(issgain.gains, "solve_spectrum", counted)
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(CONFIG_OK)
+        paths = {"CONFIG": cfg, "OUT": tmp_path / "out.csv", "ISS": tmp_path / "iss.csv"}
+        assert main([str(paths.get(a, a)) for a in argv]) == 0
+        assert len(calls) == solves
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--solver", "spectral", "--case", "transport", "--resolution", "128",
@@ -597,6 +635,24 @@ def test_help_exits_zero():
 
 def test_unknown_command_exit_three():
     assert main(["frobnicate"]) == 3
+
+
+def test_parser_is_built_once_and_keeps_defaults(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["spectrum", "--modes", "10", "--D", "3", "--output", str(first)]) == 0
+    assert main(["spectrum", "--output", str(second)]) == 0
+    assert issgain.cli._build_parser() is issgain.cli._build_parser()
+    assert len(read(first)) == 11 and len(read(second)) == 13     # --modes 12 by default
+    assert float(read(first)[1].split(",")[1]) == pytest.approx(3 * math.pi ** 2, rel=1e-6)
+    assert float(read(second)[1].split(",")[1]) == pytest.approx(math.pi ** 2, rel=1e-6)
+
+
+def test_eigensolver_failure_exits_two(monkeypatch, capsys):
+    dstein = issgain.sturm_liouville.dstein
+    monkeypatch.setattr(issgain.sturm_liouville, "dstein",
+                        lambda *args: (dstein(*args)[0], 1))
+    assert main(["spectrum", "--modes", "12"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -21,6 +21,8 @@ from issgain import (
     transport_problem,
     weighted_norm,
 )
+from issgain.sturm_liouville import _assemble, _solve_raw_spectrum
+from oracles import sturm_eigenvalue
 
 SQRT3_INV = 0.5773502691896258
 
@@ -132,6 +134,23 @@ class TestSpectrum:
         prob = build_problem(1.0, 0.0, 1.0, 1, 0, 1, 0, 64)
         with pytest.raises(ConvergenceFailure):
             solve_spectrum(prob, 20)
+
+
+class TestRawEigensolver:
+    """Bracket, inverse iteration and Rayleigh-Ritz against a 40-digit Sturm bisection
+    of the same discrete pencil."""
+
+    @pytest.mark.parametrize("resolution", [256, 512])
+    @pytest.mark.parametrize("problem", [
+        build_problem(1.0, -3.0, 2.0, 1, 1, 1, 0),          # negq.cfg of the CLI tests
+        transport_problem(1.0, 2.0, 0.0, 1.0),              # zeta = 1, a = 1
+    ], ids=["negq", "transport"])
+    def test_matches_sturm_bisection(self, problem, resolution):
+        diag, off, mass, *_ = _assemble(problem, resolution)
+        eigenvalues, _ = _solve_raw_spectrum(problem, resolution, 4)
+        for n in (1, 2, 4):
+            exact = sturm_eigenvalue(diag, off, mass, n)
+            assert eigenvalues[n - 1] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestHypothesis:
@@ -296,7 +315,6 @@ class TestAssembly:
     """_assemble returns the active window and the inlet column's one nonzero."""
 
     def test_dirichlet_inlet(self):
-        from issgain.sturm_liouville import _assemble
         problem = build_problem(Coefficient.exponential(2.0, -0.5), 0.3, 1.0, 1, 1, 4.0, 0, 64)
         diag, off, mass, inlet, lo, hi = _assemble(problem, 64)
         assert (lo, hi) == (1, 64)
@@ -305,7 +323,6 @@ class TestAssembly:
         assert inlet == pytest.approx(ph0 * 64 / 4.0, rel=1e-15)
 
     def test_robin_inlet(self):
-        from issgain.sturm_liouville import _assemble
         problem = build_problem(3.0, 0.3, 1.0, 1, 0, 2.0, -1.5, 64)
         diag, off, mass, inlet, lo, hi = _assemble(problem, 64)
         assert (lo, hi) == (0, 63)
