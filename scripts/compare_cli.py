@@ -52,10 +52,13 @@ GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg
         "--config ../y.cfg", "--case transport --a 1e14", "--case transport --a nan",
         "--case transport --D 0", "--case transport --v -1", "--case backstepping --c -1",
         "--case transport --zeta 1e6 --a 1", "--case transport --zeta 128 --a inf",
-        "--config ../robin-inlet.cfg", "--config ../robin-both.cfg"]
+        "--config ../robin-inlet.cfg", "--config ../robin-both.cfg",
+        "--case transport --k nan", "--case transport --v 1e200"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
             "--case backstepping --c 2 --D 0.5 --modes 16", "--modes 8",
-            *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"]]
+            *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"],
+            "--case transport --a -1", "--case transport --zeta nan", "--case transport --k -5",
+            "--case transport --D -1", "--case backstepping --c inf"]
 SWEEP = ["--advection-form legacy --output fig1.csv"]
 SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             f"fd --config ../robin-inlet.cfg --x0 steady {ISS}",
@@ -77,7 +80,9 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             f"fd --case transport --zeta 1 --a 1 --disturbance smoothed-step --ramp 0.3 {ISS}",
             "spectral --case transport --zeta 0.180771 --a 1 --disturbance smoothed-step "
             "--ramp 0.35 --T 2 --store 40 --modes 32",
-            "spectral --disturbance smoothed-step --T 1e62"]
+            "spectral --disturbance smoothed-step --T 1e62",
+            "fd --case transport --zeta nan", "fd --case transport --a -1",
+            "fd --case transport --v inf", "fd --case backstepping --c -1"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 

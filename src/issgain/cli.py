@@ -15,22 +15,17 @@ import warnings
 import numpy as np
 
 from . import csvio
-from .config import (
-    backstepping_target,
-    load_config,
-    problem_from_config,
-    transport_problem,
-)
+from .config import load_config, problem_from_config, transport_problem
 from .disturbances import DisturbanceSignal
 from .errors import ConfigError, IssgainError, NumericalFailure, UncertifiedHypothesis
 from .gains import (
     TransportCase,
-    backstepping_gain,
     bvp_integral,
     gain_bvp,
     gain_series,
     sweep_figure1,
     transport_gain,
+    transport_gain_closed,
     advection_gain,
 )
 from .grids import GridFunction
@@ -131,25 +126,28 @@ def _parse_a(value) -> float:
     return a
 
 
+def _named_case(args) -> TransportCase:
+    """The one reading of ``--case``: every named problem is a transport tube."""
+    case = args.case or "dirichlet-laplacian"
+    if case == "transport":
+        a = _parse_a(args.a)
+        if args.zeta is not None:
+            return TransportCase.from_zeta(args.zeta, a, args.D)
+        return TransportCase(args.D, args.v, args.k, a)
+    return TransportCase.from_target(args.c if case == "backstepping" else 0.0, args.D)
+
+
 def _problem_from_args(args):
+    """The problem and its named case; the case is None for --config or a --q override."""
     if args.config:
-        problem = problem_from_config(load_config(args.config))
+        problem, case = problem_from_config(load_config(args.config)), None
     else:
-        case = args.case or "dirichlet-laplacian"
-        if case == "dirichlet-laplacian":
-            problem = backstepping_target(0.0, args.D, args.resolution)
-        elif case == "transport":
-            D, v, k, a = args.D, args.v, args.k, _parse_a(args.a)
-            if args.zeta is not None:
-                tc = TransportCase.from_zeta(args.zeta, a, D)
-                D, v, k = tc.D, tc.v, tc.k
-            problem = transport_problem(D, v, k, a, resolution=args.resolution)
-        else:                   # "backstepping", the last --case choice
-            problem = backstepping_target(args.c, args.D, args.resolution)
-    if getattr(args, "q", None) is not None:
-        problem = build_problem(problem.p, args.q, problem.r, problem.a1, problem.a2,
-                                problem.b1, problem.b2, problem.resolution)
-    return problem
+        case = _named_case(args)
+        problem = transport_problem(case.D, case.v, case.k, case.a, resolution=args.resolution)
+    if args.q is not None:
+        problem, case = build_problem(problem.p, args.q, problem.r, problem.a1, problem.a2,
+                                      problem.b1, problem.b2, problem.resolution), None
+    return problem, case
 
 
 def _signal_from_args(args) -> DisturbanceSignal:
@@ -173,7 +171,7 @@ def _initial_state(args, problem, d0: float) -> GridFunction:
 
 
 def cmd_spectrum(args) -> int:
-    problem = _problem_from_args(args)
+    problem, _ = _problem_from_args(args)
     spectrum = solve_spectrum(problem, args.modes)
     report = spectrum.hypothesis
     csvio.write_csv(*csvio.spectrum_table(spectrum), args.output)
@@ -188,28 +186,19 @@ def cmd_spectrum(args) -> int:
 def cmd_gain(args) -> int:
     if args.N < 1:
         raise ConfigError(f"--N must be at least 1, got {args.N}")
-    # closed forms serve the named cases, and their lambda1 > 0 certifies them; a config
+    problem, case = _problem_from_args(args)
+    # the closed form serves a named case, and its lambda1 > 0 certifies it; a config
     # or a --q override takes series + BVP, certified by one solved spectrum
-    if args.config or args.q is not None:
-        problem = _problem_from_args(args)
+    if case is None:
         spectrum = solve_spectrum(problem, args.modes)
         main_report = gain_series(problem, spectrum, args.modes)
-        bvp = gain_bvp(problem, spectrum=spectrum)
         rows = [("series_tail_corrected", main_report.tail_corrected),
-                ("bvp_integral", bvp.gain_C)]
+                ("bvp_integral", gain_bvp(problem, spectrum=spectrum).gain_C)]
     else:
-        case = args.case or "dirichlet-laplacian"
-        if case == "transport":
-            a = _parse_a(args.a)
-            main_report = transport_gain(
-                TransportCase.from_zeta(args.zeta, a, args.D) if args.zeta is not None
-                else TransportCase(args.D, args.v, args.k, a), args.N)
-        else:
-            main_report = backstepping_gain(args.c if case == "backstepping" else 0.0,
-                                            args.D, args.N)
+        main_report = transport_gain(case, args.N)
         rows = [("closed_form", main_report.closed_value),
                 ("series", main_report.series_value),
-                ("bvp_integral", bvp_integral(_problem_from_args(args)))]
+                ("bvp_integral", bvp_integral(problem))]
     values = [v for _, v in rows]
     spread = max(values) - min(values)
     print("route,gain")
@@ -250,7 +239,7 @@ def cmd_simulate(args) -> int:
         eps = tuple(float(e) for e in args.eps.split(","))
         _require_iss_settings(eps, args.slack)
     d = _signal_from_args(args)
-    problem = spectrum = envelope = None
+    problem = spectrum = envelope = case = None
     if args.solver == "advection":
         for flag, value in (("--v", args.v), ("--D", args.D), ("--weight-D", args.weight_D)):
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -291,7 +280,7 @@ def cmd_simulate(args) -> int:
         if args.kernel_output:
             csvio.write_csv(*csvio.kernel_table(kernel), args.kernel_output)
     else:
-        problem = _problem_from_args(args)
+        problem, case = _problem_from_args(args)
         d0 = float(d.value(np.asarray(0.0)))
         x0 = _initial_state(args, problem, d0)
         if args.solver == "fd":
@@ -309,6 +298,9 @@ def cmd_simulate(args) -> int:
         return 0
     if args.solver == "closed-loop":
         envelope = closed_loop_bound(cfg, kernel.norm, inverse.norm)
+    elif case is not None:        # the closed form and its lambda1 need no spectrum
+        envelope = IssEnvelope(decay_rate=case.lambda1(),
+                               gain_base=transport_gain_closed(case.zeta, case.a))
     elif args.solver != "advection":
         envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)

@@ -38,7 +38,7 @@ class UncertifiedHypothesis(NumericalFailure):
     lambda_n^{-1} max|phi_n|) could not be certified for the problem."""
 
 
-class InadmissibleCase(NumericalFailure):
+class InadmissibleCase(ConfigError):
     """Transport/advection parameters outside the admissible range."""
 
 

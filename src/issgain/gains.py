@@ -80,7 +80,7 @@ def _report(gain, route, n, tail, epsilon, decay, bnorm, **extra) -> GainReport:
 
 @dataclass(frozen=True)
 class TransportCase:
-    """Transport tube parameters; ``a`` is the exit parameter, inf = Dirichlet."""
+    """Transport tube, checked when built; ``a`` is the exit parameter, inf = Dirichlet."""
 
     D: float
     v: float
@@ -88,26 +88,36 @@ class TransportCase:
     a: float  # in [0, inf]
 
     def __post_init__(self):
-        if self.D <= 0:
-            raise InadmissibleCase("diffusion coefficient D must be positive")
-        if self.v < 0:
-            raise InadmissibleCase("velocity v must be nonnegative")
-        if self.a < 0:
-            raise InadmissibleCase("exit parameter a must be in [0, inf]")
+        if not (math.isfinite(self.D) and self.D > 0):
+            raise InadmissibleCase(f"D must be finite and positive, got {self.D}")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise InadmissibleCase(f"v must be finite and nonnegative, got {self.v}")
+        if not math.isfinite(self.k):
+            raise InadmissibleCase(f"k must be finite, got {self.k}")
+        if not self.a >= 0:
+            raise InadmissibleCase(f"a must be in [0, inf], got {self.a}")
+        disc = self.v * self.v + 4.0 * self.k * self.D   # inf where v ** 2 would raise
+        if not (0.0 <= disc < math.inf and math.isfinite(self.zeta)
+                and math.isfinite(self.q_eff)):
+            raise InadmissibleCase(f"zeta and q = k + v^2/(4D) must be real and finite "
+                                   f"(D={self.D}, v={self.v}, k={self.k})")
 
     @classmethod
     def from_zeta(cls, zeta: float, a: float, D: float = 1.0) -> "TransportCase":
-        if zeta < 0:
-            raise InadmissibleCase("zeta must be nonnegative")
+        if not (math.isfinite(zeta) and zeta >= 0):
+            raise InadmissibleCase(f"zeta must be finite and nonnegative, got {zeta}")
         return cls(D=D, v=2.0 * D * zeta, k=0.0, a=a)
+
+    @classmethod
+    def from_target(cls, c: float, D: float = 1.0) -> "TransportCase":
+        """The Dirichlet target q = c of the backstepping design: v = 0, k = c, a = inf."""
+        if not (math.isfinite(c) and c >= 0):
+            raise InadmissibleCase(f"c must be finite and nonnegative, got {c}")
+        return cls(D=D, v=0.0, k=c, a=math.inf)
 
     @property
     def zeta(self) -> float:
-        disc = self.v ** 2 + 4.0 * self.k * self.D
-        if disc < 0:
-            raise InadmissibleCase(
-                f"k > -v^2/(4D) required for a real zeta (k={self.k}, v={self.v}, D={self.D})")
-        return math.sqrt(disc) / (2.0 * self.D)
+        return math.sqrt(self.v ** 2 + 4.0 * self.k * self.D) / (2.0 * self.D)
 
     @property
     def q_eff(self) -> float:
@@ -215,12 +225,11 @@ def transport_gain(case: TransportCase, N: int = DEFAULT_SERIES_N,
     ``gain_C`` carries the closed-form value; the tail-corrected series value
     and the discrepancy between the two routes are attached.
     """
-    zeta = case.zeta                        # raises InadmissibleCase if complex
+    zeta = case.zeta
+    gain = transport_gain_closed(zeta, case.a)
     if zeta == 0.0:
-        gain = _zero_zeta_gain(case.a)
         series = gain
     else:
-        gain = transport_gain_closed(zeta, case.a)
         s_partial = float(np.sum(transport_series_terms(zeta, case.a, N)))
         shift = 0.0 if math.isinf(case.a) else 0.5
         series = math.sqrt(s_partial + _series_remainder(N, shift, 2.0, -4.0 * zeta ** 2))
@@ -234,9 +243,7 @@ def backstepping_gain(c: float, D: float, N: int = DEFAULT_SERIES_N,
                       epsilon: float = 1.0) -> GainReport:
     """Gain of the Dirichlet target problem q = c: the transport gain at
     v = 0, k = c, a = inf, i.e. G(sqrt(c/D), inf) with decay c + D pi^2."""
-    if c < 0:
-        raise InadmissibleCase("target coefficient c must be nonnegative")
-    return transport_gain(TransportCase(D, 0.0, c, math.inf), N, epsilon)
+    return transport_gain(TransportCase.from_target(c, D), N, epsilon)
 
 
 def advection_gain(v: float, D: float, k: float = 0.0,

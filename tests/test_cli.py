@@ -175,9 +175,13 @@ class TestGainCommand:
     def test_readme_gain_examples_exit_zero(self, command):
         assert main(command.split()) == 0
 
-    def test_inadmissible_exit_two(self):
+    def test_inadmissible_exit_three(self, capsys):
+        # k < -v^2/(4D): zeta is not real, so the named case is rejected as built
         assert main(["gain", "--case", "transport", "--D", "1", "--v", "1",
-                     "--k", "-0.3"]) == 2
+                     "--k", "-0.3"]) == 3
+        assert capsys.readouterr().err == (
+            "config error: zeta and q = k + v^2/(4D) must be real and finite "
+            "(D=1.0, v=1.0, k=-0.3)\n")
 
     def test_config_route(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -406,7 +410,9 @@ class TestSimulateCommand:
         (["simulate", "--solver", "spectral", "--case", "transport", "--resolution", "128",
           "--T", "0.4", "--modes", "16", "--output", "OUT"], 1),
         (["simulate", "--solver", "fd", "--case", "transport", "--resolution", "128",
-          "--T", "0.2", "--verify-iss", "--output", "OUT", "--iss-output", "ISS"], 1),
+          "--T", "0.2", "--verify-iss", "--output", "OUT", "--iss-output", "ISS"], 0),
+        (["simulate", "--solver", "fd", "--config", "CONFIG", "--T", "0.2", "--verify-iss",
+          "--output", "OUT", "--iss-output", "ISS"], 1),
     ])
     def test_solves_at_most_one_spectrum(self, tmp_path, monkeypatch, argv, solves):
         calls = []
@@ -428,8 +434,7 @@ class TestSimulateCommand:
          "--T", "0.4", "--modes", "16", "--verify-iss"],
         ["simulate", "--solver", "lifted", "--case", "transport", "--resolution", "128",
          "--T", "0.4", "--modes", "16", "--disturbance", "sinusoid", "--verify-iss"],
-        ["simulate", "--solver", "fd", "--case", "transport", "--resolution", "128",
-         "--T", "0.2", "--verify-iss"],
+        ["simulate", "--solver", "fd", "--config", "CONFIG", "--T", "0.2", "--verify-iss"],
         ["gain", "--config", "CONFIG"],
     ])
     def test_certifies_once_per_command(self, tmp_path, monkeypatch, argv):
@@ -521,6 +526,35 @@ class TestRejectedInputs:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        ("--D 0", "D must be finite and positive, got 0.0"),
+        ("--case transport --D -1", "D must be finite and positive, got -1.0"),
+        ("--case transport --D nan", "D must be finite and positive, got nan"),
+        ("--case transport --v inf", "v must be finite and nonnegative, got inf"),
+        ("--case transport --k nan", "k must be finite, got nan"),
+        ("--case transport --a -1", "a must be in [0, inf], got -1.0"),
+        ("--case transport --zeta -1", "zeta must be finite and nonnegative, got -1.0"),
+        ("--case transport --zeta nan", "zeta must be finite and nonnegative, got nan"),
+        ("--case transport --k -5",
+         "zeta and q = k + v^2/(4D) must be real and finite (D=1.0, v=1.0, k=-5.0)"),
+        ("--case transport --v 1e200",
+         "zeta and q = k + v^2/(4D) must be real and finite (D=1.0, v=1e+200, k=0.0)"),
+        ("--case transport --D 1e-310",
+         "zeta and q = k + v^2/(4D) must be real and finite (D=1e-310, v=1.0, k=0.0)"),
+        ("--case backstepping --c -1", "c must be finite and nonnegative, got -1.0"),
+        ("--case backstepping --c inf", "c must be finite and nonnegative, got inf"),
+    ])
+    def test_rejected_named_case(self, tmp_path, capsys, args, message):
+        # every command reads --case through one mapping, so each rejects an input alike
+        out = tmp_path / "out.csv"
+        for command in ("spectrum", "gain", "simulate --solver fd"):
+            argv = [*command.split(), *args.split()]
+            assert main(argv if command == "gain" else [*argv, "--output", str(out)]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {message}\n"
+            assert captured.out == ""
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--solver", "closed-loop", "--amplitude", "inf"], "amplitude must be finite, got inf"),
