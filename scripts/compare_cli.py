@@ -82,7 +82,9 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "--ramp 0.35 --T 2 --store 40 --modes 32",
             "spectral --disturbance smoothed-step --T 1e62",
             "fd --case transport --zeta nan", "fd --case transport --a -1",
-            "fd --case transport --v inf", "fd --case backstepping --c -1"]
+            "fd --case transport --v inf", "fd --case backstepping --c -1",
+            "closed-loop --c -1", "closed-loop --D 0", "closed-loop --c 1e308 --D 1e-300",
+            "closed-loop --plant-p 1e300 --D 1e-300", f"closed-loop --c 1.3 --D 0.6 {ISS}"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 

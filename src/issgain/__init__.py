@@ -19,8 +19,6 @@ from .backstepping import (
 )
 from .coefficients import Coefficient
 from .config import (
-    backstepping_target,
-    dirichlet_laplacian,
     load_config,
     parse_config_text,
     problem_from_config,

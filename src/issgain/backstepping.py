@@ -23,15 +23,15 @@ applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import i1 as bessel_i1, j1 as bessel_j1
 
-from .config import backstepping_target
+from .config import transport_problem
 from .disturbances import DisturbanceSignal
-from .errors import IncompatibleInitialCondition, NumericalFailure
-from .gains import backstepping_gain
+from .errors import InadmissibleCase, IncompatibleInitialCondition, NumericalFailure
+from .gains import TransportCase
 from .grids import (
     GridFunction,
     require_same_grid,
@@ -62,21 +62,19 @@ class Kernel:
 
 @dataclass(frozen=True)
 class ClosedLoopConfig:
-    """Plant y_t = D y_zz + p y under boundary feedback toward target rate c."""
+    """Plant y_t = D y_zz + p y under boundary feedback toward target rate c; ``target``
+    is the target x_t = D x_zz - c x as the case ``gain --case backstepping`` reads."""
 
     D: float
     p: float
     c: float
     d: DisturbanceSignal | None = None
+    target: TransportCase = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.D, self.p, self.c)):
-            raise ValueError(f"D, p and c must be finite, got D={self.D}, p={self.p}, "
-                             f"c={self.c}")
-        if self.D <= 0:
-            raise ValueError("D must be positive")
-        if self.c < 0:
-            raise ValueError("target coefficient c must be nonnegative")
+        object.__setattr__(self, "target", TransportCase.from_target(self.c, self.D))
+        if not math.isfinite(self.p):
+            raise InadmissibleCase(f"p must be finite, got {self.p}")
 
     @property
     def lam_bar(self) -> float:
@@ -109,10 +107,10 @@ def bessel_kernel(lam: float, resolution: int = 256) -> Kernel:
     z = grid[:, None]
     s = grid[None, :]
     arg2 = np.maximum((1.0 - z) ** 2 - (1.0 - s) ** 2, 0.0)
-    xi = np.sqrt(abs(lam) * arg2)
-    ratio = np.full_like(xi, 0.5)
-    big = xi > 1e-8
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):     # lam = inf gives inf * 0
+        xi = np.sqrt(abs(lam) * arg2)
+        ratio = np.full_like(xi, 0.5)
+        big = xi > 1e-8
         if lam >= 0:
             ratio[big] = bessel_i1(xi[big]) / xi[big]
         else:
@@ -149,7 +147,7 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
                          n_store: int = DEFAULT_STORE) -> ClosedLoopResult:
     """Crank-Nicolson closed loop with the feedback folded in implicitly.
 
-    The plant y_t = D y_zz + p y is the Dirichlet problem p = D, q = -p, r = 1
+    The plant y_t = D y_zz + p y is the transport problem v = 0, k = -p, a = inf
     (resolution >= 64).  The inlet value u = d - integral k(0,s) y ds is the
     open-loop inlet tied to the state by one dense feedback row; solved for u it
     reads u = (d - w @ y)/(1 + w0) over the interior nodes, w = kernel.weighted[0],
@@ -177,7 +175,7 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
         raise IncompatibleInitialCondition(
             f"y0(0) = {y0.values[0]:.6g} but the feedback gives u(0) = {u0:.6g}")
 
-    plant = backstepping_target(-cfg.p, cfg.D, m)
+    plant = transport_problem(cfg.D, 0.0, -cfg.p, math.inf, resolution=m)
     times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
@@ -201,9 +199,8 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
 
 def closed_loop_bound(cfg: ClosedLoopConfig, kernel_norm: float,
                       inverse_norm: float) -> IssEnvelope:
-    """Envelope of the closed loop: overshoot (1+||l||)(1+||k||) sqrt(1+eps),
-    decay c + D pi^2, gain (1+||l||) sqrt(1+1/eps) G, G the closed form."""
-    g = backstepping_gain(cfg.c, cfg.D).gain_C
-    return IssEnvelope(decay_rate=cfg.c + cfg.D * math.pi ** 2,
-                       gain_base=(1.0 + inverse_norm) * g,
-                       overshoot_base=(1.0 + inverse_norm) * (1.0 + kernel_norm))
+    """The target's closed-form envelope (decay lambda1, gain G) with overshoot
+    (1+||l||)(1+||k||) sqrt(1+eps) and gain (1+||l||) sqrt(1+1/eps) G."""
+    target = IssEnvelope.from_case(cfg.target)
+    return replace(target, gain_base=(1.0 + inverse_norm) * target.gain_base,
+                   overshoot_base=(1.0 + inverse_norm) * (1.0 + kernel_norm))

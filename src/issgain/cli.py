@@ -25,7 +25,6 @@ from .gains import (
     gain_series,
     sweep_figure1,
     transport_gain,
-    transport_gain_closed,
     advection_gain,
 )
 from .grids import GridFunction
@@ -299,8 +298,7 @@ def cmd_simulate(args) -> int:
     if args.solver == "closed-loop":
         envelope = closed_loop_bound(cfg, kernel.norm, inverse.norm)
     elif case is not None:        # the closed form and its lambda1 need no spectrum
-        envelope = IssEnvelope(decay_rate=case.lambda1(),
-                               gain_base=transport_gain_closed(case.zeta, case.a))
+        envelope = IssEnvelope.from_case(case)
     elif args.solver != "advection":
         envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)

@@ -132,13 +132,3 @@ def transport_problem(D: float, v: float, k: float, a: float,
             return build_problem(p, q, r, 1.0, 0.0, 1.0, 0.0, resolution)
         return build_problem(p, q, r, a - v / (2.0 * D), 1.0, 1.0, 0.0, resolution)
     raise ConfigError(f"unknown transport form {form!r}")
-
-
-def dirichlet_laplacian(resolution: int = DEFAULT_RESOLUTION) -> SLProblem:
-    return build_problem(1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, resolution)
-
-
-def backstepping_target(c: float, D: float = 1.0,
-                        resolution: int = DEFAULT_RESOLUTION) -> SLProblem:
-    """Dirichlet problem p = D, q = c, r = 1 (the stabilized target)."""
-    return build_problem(D, c, 1.0, 1.0, 0.0, 1.0, 0.0, resolution)

@@ -139,7 +139,8 @@ def mu_roots(n: np.ndarray | int, a: float) -> np.ndarray:
     mu_n(inf) = 0 and mu_n(0) = 1/2 exactly.  For 0 < a < inf, delta = 1/2 - mu
     is the fixed point of delta = arctan(a / ((n - 1/2 + delta) pi)) / pi.  The
     map contracts by a / ((n - 1/2 + delta)^2 pi^2 + a^2) <= 1/pi, so 32 steps
-    from delta = 1/4 reach rounding level.
+    from delta = 1/4 reach rounding level.  A root leaves the sweep once the map
+    returns it unchanged: it is a fixed point, so further steps would keep it.
     """
     ns = np.atleast_1d(np.asarray(n, dtype=float))
     if np.any(ns < 1):
@@ -151,8 +152,14 @@ def mu_roots(n: np.ndarray | int, a: float) -> np.ndarray:
     if a < 0.0:
         raise InadmissibleCase("exit parameter a must be in [0, inf]")
     delta = np.full_like(ns, 0.25)
+    moving = np.arange(ns.size)
     for _ in range(32):
-        delta = np.arctan(a / ((ns - 0.5 + delta) * math.pi)) / math.pi
+        step = np.arctan(a / ((ns[moving] - 0.5 + delta[moving]) * math.pi)) / math.pi
+        moved = step != delta[moving]
+        delta[moving] = step
+        moving = moving[moved]
+        if not moving.size:
+            break
     return 0.5 - delta
 
 

@@ -32,7 +32,7 @@ from .errors import (
     NumericalFailure,
     StabilityWarning,
 )
-from .gains import GainReport, _certify
+from .gains import GainReport, TransportCase, _certify, transport_gain_closed
 from .grids import GridFunction, require_same_grid, simpson_norms, uniform_grid
 from .sturm_liouville import (
     SLProblem,
@@ -407,6 +407,11 @@ class IssEnvelope:
     def from_gain_report(cls, report: GainReport) -> "IssEnvelope":
         return cls(decay_rate=report.iss_decay_rate,
                    gain_base=report.tail_corrected / report.boundary_norm)
+
+    @classmethod
+    def from_case(cls, case: TransportCase) -> "IssEnvelope":
+        """The closed-form envelope of a transport case: no series and no spectrum."""
+        return cls(decay_rate=case.lambda1(), gain_base=transport_gain_closed(case.zeta, case.a))
 
     def validate(self):
         for name, val in (("decay_rate", self.decay_rate), ("gain_base", self.gain_base),

@@ -31,7 +31,6 @@ from issgain import (
     apply_transform,
     build_problem,
     closed_loop_bound,
-    dirichlet_laplacian,
     gain_bvp,
     gain_series,
     simulate_closed_loop,
@@ -64,7 +63,7 @@ def check(num: str, label: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_gain_triple_agreement():
     t0 = time.perf_counter()
-    problem = dirichlet_laplacian(256)
+    problem = transport_problem(1.0, 0.0, 0.0, math.inf, resolution=256)
     spectrum = analytic_transport_spectrum(TransportCase(1.0, 0.0, 0.0, math.inf),
                                            10_000, 256)
     series = gain_series(problem, spectrum, 10_000).tail_corrected

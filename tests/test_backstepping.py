@@ -6,18 +6,23 @@ import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 import issgain.backstepping as backstepping
+import issgain.gains as gains
 from issgain import (
     ClosedLoopConfig,
     DisturbanceSignal,
     GridFunction,
+    InadmissibleCase,
     IncompatibleInitialCondition,
+    IssEnvelope,
     NumericalFailure,
+    TransportCase,
     apply_transform,
     bessel_kernel,
     closed_loop_bound,
     simulate_closed_loop,
     solve_inverse_kernel,
     solve_kernel,
+    transport_problem,
     uniform_grid,
     verify_iss,
 )
@@ -164,10 +169,11 @@ class TestKernels:
                 solve_kernel(ClosedLoopConfig(D=1.0, p=1e6, c=0.0), 64)
 
     def test_non_finite_parameters_rejected(self):
+        # D and c are checked as the target TransportCase, p beside it
         for field in ("D", "p", "c"):
             for bad in (math.nan, math.inf):
                 params = {"D": 1.0, "p": 3.0, "c": 1.0, field: bad}
-                with pytest.raises(ValueError, match="finite"):
+                with pytest.raises(InadmissibleCase, match=f"^{field} must be finite"):
                     ClosedLoopConfig(**params)
 
     def test_zero_rate_kernel_vanishes(self):
@@ -443,15 +449,28 @@ class TestClosedLoop:
         assert env.overshoot_base == 1.0
         assert env.gain_base == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
+    @pytest.mark.parametrize("c, D", [(0.7, 1.0), (1.3, 0.6), (1.9, 1.0)])
+    def test_bound_scales_the_target_envelope(self, monkeypatch, c, D):
+        # the target's closed form alone: no gain series is summed
+        def no_series(*args):
+            raise AssertionError("closed_loop_bound summed a gain series")
+        monkeypatch.setattr(gains, "transport_series_terms", no_series)
+        kernel_norm, inverse_norm = 0.8, 1.7
+        env = closed_loop_bound(ClosedLoopConfig(D=D, p=3.0, c=c), kernel_norm, inverse_norm)
+        target = IssEnvelope.from_case(TransportCase.from_target(c, D))
+        assert env == IssEnvelope(decay_rate=target.decay_rate,
+                                  gain_base=(1.0 + inverse_norm) * target.gain_base,
+                                  overshoot_base=(1.0 + inverse_norm) * (1.0 + kernel_norm))
+
 
 class TestPlantOperator:
     """The closed loop steps the plant SLProblem p = D, q = -p, r = 1 (Dirichlet)."""
 
     @pytest.mark.parametrize("D, p, m", [(1.0, 3.0, 256), (0.7, 5.0, 64), (2.0, -1.0, 128)])
     def test_plant_operator_is_the_reaction_diffusion_stencil(self, D, p, m):
-        from issgain.config import backstepping_target
         from issgain.pde_sim import _semidiscrete_operator
-        sub, diag, sup, load, lo, hi = _semidiscrete_operator(backstepping_target(-p, D, m))
+        plant = transport_problem(D, 0.0, -p, math.inf, resolution=m)
+        sub, diag, sup, load, lo, hi = _semidiscrete_operator(plant)
         rho = D * m * m
         assert (lo, hi) == (1, m - 1)
         assert np.array_equal(sub, np.full(m - 2, rho))

@@ -88,8 +88,8 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--D", "3", "--modes", "12", "--output", str(out)]) == 0
         assert float(read(out)[1].split(",")[1]) == pytest.approx(3 * math.pi ** 2, rel=1e-6)
         # at the default D = 1 the case is the unit Laplacian, bit for bit
-        plain = issgain.config.dirichlet_laplacian(256)
-        default = issgain.config.backstepping_target(0.0, 1.0, 256)
+        plain = issgain.build_problem(1, 0, 1, 1, 0, 1, 0, 256)
+        default = issgain.transport_problem(1, 0, 0, math.inf, resolution=256)
         for name in ("eigenvalues", "eigenfunctions"):
             assert np.array_equal(getattr(issgain.solve_spectrum(plain, 12), name),
                                   getattr(issgain.solve_spectrum(default, 12), name))
@@ -556,6 +556,21 @@ class TestRejectedInputs:
             assert captured.out == ""
             assert not out.exists()
 
+    @pytest.mark.parametrize("args", ["--c -1", "--c inf", "--D 0", "--D nan",
+                                      "--c 1e308 --D 1e-300"])
+    def test_closed_loop_rejects_its_target_as_gain_does(self, tmp_path, capsys, args):
+        # the closed loop's target is the TransportCase that gain --case backstepping reads
+        out = tmp_path / "out.csv"
+        assert main(["gain", "--case", "backstepping", *args.split()]) == 3
+        gain = capsys.readouterr()
+        assert main(["simulate", "--solver", "closed-loop", *args.split(),
+                     "--output", str(out)]) == 3
+        closed_loop = capsys.readouterr()
+        assert gain.err.startswith("config error: ")
+        assert closed_loop.err == gain.err
+        assert gain.out == closed_loop.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--solver", "closed-loop", "--amplitude", "inf"], "amplitude must be finite, got inf"),
         (["--solver", "spectral", "--disturbance", "sinusoid", "--omega", "nan"],
@@ -714,6 +729,17 @@ def test_infinite_zeta_end_prints_only_the_config_error(tmp_path, bound):
     assert proc.returncode == 3
     assert proc.stderr == "config error: zeta grid must be finite and positive\n"
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_overflowing_lam_bar_prints_only_the_numerical_failure(tmp_path):
+    # lam_bar = 1e300/1e-300 = inf; no numpy warning may precede the error line
+    out = tmp_path / "cl.csv"
+    proc = run_python("import sys; from issgain.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "simulate", "--solver", "closed-loop", "--plant-p", "1e300",
+                      "--D", "1e-300", "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "numerical failure: kernel at lam_bar = inf overflows double precision\n"
+    assert not out.exists()
 
 
 def test_main_keeps_warnings_recordable_and_restores_format(tmp_path):

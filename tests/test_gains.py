@@ -14,6 +14,7 @@ from issgain import (
     gain_bvp,
     gain_series,
     mu_root,
+    mu_roots,
     solve_spectrum,
     sweep_figure1,
     transport_gain,
@@ -51,6 +52,17 @@ class TestMuRoot:
                 assert 0.0 < mu < 0.5
                 res = abs(math.tan(mu * math.pi) + mu * math.pi / a - n * math.pi / a)
                 assert res <= 1e-10, (n, a, res)
+
+    def test_fixed_points_leave_the_sweep_bit_for_bit(self):
+        # dropping a root once the map returns it unchanged gives the 32-sweep result
+        def thirty_two_sweeps(ns, a):
+            delta = np.full_like(ns, 0.25)
+            for _ in range(32):
+                delta = np.arctan(a / ((ns - 0.5 + delta) * math.pi)) / math.pi
+            return 0.5 - delta
+        ns = np.arange(1, 10_001, dtype=float)
+        for a in [*np.logspace(-300, 300, 301), 1e-5, 0.3, 1.0, 2.0, 3.7, 10.0, 50.0]:
+            assert np.array_equal(mu_roots(ns, a), thirty_two_sweeps(ns, a)), a
 
     def test_monotone_in_a(self):
         a_grid = [0.1, 0.5, 1.0, 5.0, 50.0]
