@@ -156,7 +156,7 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
     if cfg.d is None:
         raise ValueError("config carries no actuator-error signal d")
     d = cfg.d
-    n_steps, dt = _time_steps(dt, T)
+    n_steps, dt, times_all = _time_steps(dt, T)
     m = y0.resolution
     if kernel is None:
         kernel = solve_kernel(cfg, m)
@@ -176,7 +176,6 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
             f"y0(0) = {y0.values[0]:.6g} but the feedback gives u(0) = {u0:.6g}")
 
     plant = transport_problem(cfg.D, 0.0, -cfg.p, math.inf, resolution=m)
-    times_all = dt * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
     w0 = float(w_feedback[0])

@@ -3,7 +3,9 @@
 Three routes to the same solution:
 
 * ``simulate_fd``          - Crank-Nicolson finite differences, boundary data
-                             entering through the scheme average (half-step).
+                             entering through the scheme average (half-step),
+                             run in the eigenbasis of the discrete operator
+                             in blocks of ``CN_BLOCK`` steps.
 * ``simulate_spectral``    - exact exponential integration of the modal
                              dynamics c_n' = -lambda_n c_n + coupling_n d(t),
                              lifted by the steady state.
@@ -11,6 +13,8 @@ Three routes to the same solution:
 
 Both modal routes are ``_lifted_modal`` with their lift; it takes the
 exponential convolutions of all stored intervals in one call.
+``_crank_nicolson`` serves ``simulate_fd`` and the backstepping closed loop;
+it applies the scheme's own map, not the exponential, to every discrete mode.
 
 ``advection_exact`` evaluates the method-of-characteristics solution of the
 pure advection equation, and ``verify_iss`` checks exponential-plus-gain
@@ -23,11 +27,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dstevd
 
 from .disturbances import DisturbanceSignal
 from .errors import (
     CompatibilityWarning,
+    ConfigError,
     MissingEnvelopeParameters,
     NumericalFailure,
     StabilityWarning,
@@ -44,6 +49,7 @@ from .sturm_liouville import (
 )
 
 DEFAULT_STORE = 160
+CN_BLOCK = 48              # Crank-Nicolson steps per block of the modal run
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +167,19 @@ def _require_times(**values: float):
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _time_steps(dt: float, T: float) -> tuple[int, float]:
-    """Step count n = ceil(T/dt), at least 1, and the step T/n that ends at T."""
+def _time_steps(dt: float, T: float) -> tuple[int, float, np.ndarray]:
+    """Step count n = ceil(T/dt), at least 1, the step T/n that ends at T, and the
+    n + 1 step times.  Raises :class:`ConfigError` when they cannot be allocated."""
     _require_times(dt=dt, T=T)
     if not math.isfinite(T / dt):
         raise ValueError(f"T/dt overflows: dt = {dt} is too small for T = {T}")
     n_steps = max(1, math.ceil(T / dt))
-    return n_steps, T / n_steps
+    try:
+        times = (T / n_steps) * np.arange(n_steps + 1)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"T = {T} at dt = {dt} takes {n_steps:.6g} steps, too many to "
+                          "allocate; raise dt or lower T") from None
+    return n_steps, T / n_steps, times
 
 
 def _store_indices(n_steps: int, n_store: int) -> np.ndarray:
@@ -207,48 +219,75 @@ def _check_compatibility(problem: SLProblem, x0: GridFunction, d: DisturbanceSig
 def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: float,
                     store_at: np.ndarray, feedback: np.ndarray | None = None):
     """Crank-Nicolson run of x' = A x + u(t) load e_1, the operator of
-    :func:`_semidiscrete_operator` on the active nodes of ``problem``.
+    :func:`_semidiscrete_operator` on the active nodes of ``problem``, in the
+    eigenbasis of the scaled stiffness.
 
-    With h = dt/2 and B = I - h A, (I + h A) = 2I - B, so
-    B^{-1}(I + h A) = 2 B^{-1} - I and one step is one tridiagonal solve:
-    y = B^{-1}(2 x_k + h load (u_k + u_{k+1}) e_1), x_{k+1} = y - x_k.
+    A = -M^{-1} T with S = M^{-1/2} T M^{-1/2} = V diag(lam) V^T (one ``dstevd``).
+    In c = V^T M^{1/2} x, with h = dt/2, one step is the diagonal map
+    c_{k+1} = rho c_k + gamma (u_k + u_{k+1}), rho = (1 - h lam)/(1 + h lam) and
+    gamma = h inlet V[0]/(sqrt(m_0) (1 + h lam)).  lam are the energy-form Rayleigh
+    quotients of the vectors w = M^{-1/2} V, sums of nonnegative edge and node
+    terms with no cancellation (Parlett, The Symmetric Eigenvalue Problem, 1998).
+
     ``x0`` and ``feedback`` are full-grid rows.  u is ``inlet[step]``, or with a
     ``feedback`` row ``inlet[step] - feedback @ x`` from step 1 on (``inlet[0]`` is
-    u(0)), solved by a Sherman-Morrison correction of y - x_k.  B is LU-factored
-    once; a zero pivot raises :class:`NumericalFailure`.  Returns the full-grid
-    states and u at the steps ``store_at``.
+    u(0)); with phi = w^T feedback that is u_k = inlet_k - phi @ c_k, and the open
+    loop is phi = 0.  The run takes ``CN_BLOCK`` steps at a time: the block's
+    inlet values solve one lower-triangular Toeplitz system in
+    h_m = sum phi rho^m gamma, whose inverse is formed once (its diagonal 1 + h_0
+    is the Sherman-Morrison denominator of the implicit feedback), and the states
+    stored in the block and its last one are one product.  A failed eigensolve, a
+    zero 1 + h lam or a zero 1 + h_0 raises :class:`NumericalFailure`.  Returns the
+    full-grid states and u at the steps ``store_at``.
     """
-    sub, diag, sup, load, lo, hi = _semidiscrete_operator(problem)
-    half = 0.5 * dt
-    *cn_lu, info = dgttrf(-half * sub, 1.0 - half * diag, -half * sup)
+    diag, off, mass, load, lo, hi = _assemble(problem, problem.resolution)
+    root = np.sqrt(mass)
+    _, vectors, info = dstevd(diag / mass, off / (root[:-1] * root[1:]))
     if info != 0:
+        raise NumericalFailure(f"Crank-Nicolson eigensolve failed (LAPACK info {info})")
+    w = vectors / root[:, None]
+    node = diag.copy()
+    node[:-1] += off
+    node[1:] += off
+    lam = (node @ w ** 2 - off @ np.diff(w, axis=0) ** 2) / (mass @ w ** 2)
+    half = 0.5 * dt
+    den = 1.0 + half * lam
+    if np.any(den == 0.0):
         raise NumericalFailure(f"Crank-Nicolson matrix is singular at dt = {dt:.6g}")
-    coupling = float(half * load)
-    if feedback is not None:
-        feedback = feedback[lo:hi + 1]
-        e1 = np.zeros(diag.size)
-        e1[0] = 1.0
-        x_e1 = dgttrs(*cn_lu, e1)[0]
-        sm_denom = 1.0 + coupling * float(feedback @ x_e1)
+    rho = (1.0 - half * lam) / den
+    gamma = half * load * vectors[0] / (root[0] * den)
+    phi = np.zeros(lam.size) if feedback is None else w.T @ feedback[lo:hi + 1]
 
-    rows = np.empty((store_at.size, diag.size))
+    steps = np.arange(CN_BLOCK + 1)
+    powers = rho ** steps[:, None]                  # rho^m, m = 0..CN_BLOCK
+    response = powers[:-1] * gamma                  # row m: rho^m gamma
+    h = response @ phi
+    if 1.0 + h[0] == 0.0:
+        raise NumericalFailure(f"closed-loop inlet equation is singular at dt = {dt:.6g}")
+    lag = steps[:-1, None] - steps[None, :-1]
+    toeplitz = np.where(lag >= 0, lag, CN_BLOCK)    # lower-triangular; index CN_BLOCK holds 0
+    # u_j of a block carries 1 + h_0, and u_i, i < j, carries h_{j-i} + h_{j-i-1}
+    solve = np.linalg.inv(np.concatenate(([1.0 + h[0]], h[1:] + h[:-1], [0.0]))[toeplitz])
+
+    coeffs = np.empty((store_at.size, lam.size))
     u_stored = inlet[store_at]
-    inlet = inlet.tolist()        # Python floats: numpy's bits at less cost per scalar step
-    x, u = x0[lo:hi + 1].copy(), inlet[0]
-    rhs = np.empty_like(x)
-    rows[0] = x                               # step 0 is always stored
-    for k in range(1, store_at.size):
-        for step in range(store_at[k - 1], store_at[k]):
-            np.add(x, x, out=rhs)
-            rhs[0] += coupling * (u + inlet[step + 1])
-            np.subtract(dgttrs(*cn_lu, rhs, overwrite_b=1)[0], x, out=x)
-            u = inlet[step + 1]
-            if feedback is not None:
-                x -= (coupling * float(feedback @ x) / sm_denom) * x_e1
-                u -= float(feedback @ x)
-        rows[k] = x
-        u_stored[k] = u
-    return _on_grid(problem, rows, u_stored, lo), u_stored
+    c, u = vectors.T @ (root * x0[lo:hi + 1]), inlet[0]
+    coeffs[0] = c                                   # step 0 is always stored
+    v = np.zeros(CN_BLOCK + 1)                      # u_{j-1} + u_j, j = 1..n, then 0
+    first, n_steps = 1, store_at[-1]
+    for start in range(0, n_steps, CN_BLOCK):
+        n = min(CN_BLOCK, n_steps - start)
+        rhs = inlet[start + 1:start + n + 1] - powers[1:n + 1] @ (phi * c) - h[:n] * u
+        u_block = solve[:n, :n] @ rhs
+        v[:n] = u_block
+        v[1:n] += u_block[:-1]
+        v[0] += u
+        last = np.searchsorted(store_at, start + n, side="right")
+        at = np.append(store_at[first:last] - start, n)   # stored offsets, then the end
+        states = powers[at] * c + v[toeplitz[at - 1]] @ response
+        coeffs[first:last], u_stored[first:last] = states[:-1], u_block[at[:-1] - 1]
+        c, u, first = states[-1], u_block[-1], last
+    return _on_grid(problem, coeffs @ w.T, u_stored, lo), u_stored
 
 
 def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
@@ -260,14 +299,13 @@ def simulate_fd(problem: SLProblem, d: DisturbanceSignal, x0: GridFunction,
     The run is :func:`_crank_nicolson` with u = d and ``dt`` shortened so that
     whole steps end at T; incompatible initial data are projected with a warning.
     """
-    n_steps, dt_run = _time_steps(dt, T)
+    n_steps, dt_run, times_all = _time_steps(dt, T)
     require_same_grid(x0, problem.grid)
     if d.kind == "sinusoid" and d.frequency * dt > 0.5:
         warnings.warn("time step is coarse for the disturbance frequency "
                       f"(omega*dt = {d.frequency * dt:.2f})", StabilityWarning, stacklevel=2)
     x0 = _check_compatibility(problem, x0, d)
 
-    times_all = dt_run * np.arange(n_steps + 1)
     d_all = np.asarray(d.value(times_all))
     store_at = _store_indices(n_steps, n_store)
     values, inlet = _crank_nicolson(problem, d_all, x0.values, dt_run, store_at)

@@ -27,7 +27,7 @@ from issgain import (
     verify_iss,
 )
 from issgain.grids import simpson_weights, tail_quadrature_matrix
-from issgain.pde_sim import _store_indices
+from issgain.pde_sim import CN_BLOCK, _store_indices
 from oracles import reciprocity_residual
 
 # dblquad of the closed-form kernel squared over the triangle, lam = 5
@@ -289,6 +289,18 @@ def closed_loop_step_oracle(cfg, y0, dt, T, kernel, n_store):
     return y_rows, uvals
 
 
+def compatible_y0(d, kernel, inverse):
+    """The plant state of x0 = d(0)(1 - z) + sin(pi z)/2, with y0(0) solved from the
+    feedback identity y0(0) = d(0) - integral k(0,s) y0(s) ds."""
+    grid = kernel.grid
+    d0 = float(d.value(np.asarray(0.0)))
+    y0 = apply_transform(inverse, GridFunction(
+        grid, d0 * (1.0 - grid) + 0.5 * np.sin(math.pi * grid))).values
+    w = kernel.weighted[0]
+    y0[0] = (d0 - w[1:] @ y0[1:]) / (1.0 + w[0])
+    return GridFunction(grid, y0)
+
+
 @pytest.fixture(scope="module")
 def closed_loop_run():
     cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.sinusoid(1.0, 2.0))
@@ -420,18 +432,29 @@ class TestClosedLoop:
         cfg = ClosedLoopConfig(D=D, p=p, c=c, d=d)
         kernel = solve_kernel(cfg, m)
         inverse = solve_inverse_kernel(cfg, m)
-        grid = kernel.grid
-        d0 = float(d.value(np.asarray(0.0)))
-        y0 = apply_transform(inverse, GridFunction(
-            grid, d0 * (1.0 - grid) + 0.5 * np.sin(math.pi * grid))).values
-        w = kernel.weighted[0]
-        y0[0] = (d0 - w[1:] @ y0[1:]) / (1.0 + w[0])
-        y0 = GridFunction(grid, y0)
+        y0 = compatible_y0(d, kernel, inverse)
         result = simulate_closed_loop(cfg, y0, 1e-3, 0.3, kernel=kernel,
                                       inverse_kernel=inverse, n_store=40)
         rows, uvals = closed_loop_step_oracle(cfg, y0, 1e-3, 0.3, kernel, 40)
         # the folded step 2 B^{-1} y - y rounds differently from the oracle's
         # B^{-1} (I + hA) y; both feed the same Sherman-Morrison correction
+        assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
+        assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
+
+    @pytest.mark.parametrize("n_steps", [1, CN_BLOCK - 1, CN_BLOCK, CN_BLOCK + 1])
+    @pytest.mark.parametrize("n_store", [1, 1000])
+    def test_block_boundaries_match_standalone_step_loop(self, n_steps, n_store):
+        # the modal run's blocks end, and restart the feedback solve, between these steps
+        d = DisturbanceSignal.sinusoid(1.0, 2.0, 0.7)
+        cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=d)
+        kernel = solve_kernel(cfg, 64)
+        inverse = solve_inverse_kernel(cfg, 64)
+        y0 = compatible_y0(d, kernel, inverse)
+        dt = 2.0 ** -10                  # T/dt is the integer n_steps exactly
+        result = simulate_closed_loop(cfg, y0, dt, n_steps * dt, kernel=kernel,
+                                      inverse_kernel=inverse, n_store=n_store)
+        rows, uvals = closed_loop_step_oracle(cfg, y0, dt, n_steps * dt, kernel, n_store)
+        assert rows.shape[0] == min(n_store, n_steps) + 1
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
         assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 

@@ -14,6 +14,7 @@ import issgain.backstepping
 import issgain.cli
 import issgain.config
 import issgain.gains
+import issgain.pde_sim
 import issgain.sturm_liouville
 from issgain import Coefficient, DisturbanceSignal
 from issgain.cli import main
@@ -739,6 +740,38 @@ def test_overflowing_lam_bar_prints_only_the_numerical_failure(tmp_path):
                       "--D", "1e-300", "--output", str(out))
     assert proc.returncode == 2
     assert proc.stderr == "numerical failure: kernel at lam_bar = inf overflows double precision\n"
+    assert not out.exists()
+
+
+def test_too_many_steps_print_only_the_config_error(tmp_path):
+    # 1e303 step times exceed numpy's array size; the error comes before the
+    # initial state's projection warning
+    out = tmp_path / "t.csv"
+    proc = run_python("import sys; from issgain.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "simulate", "--solver", "fd", "--case", "transport", "--T", "1e300",
+                      "--dt", "1e-3", "--output", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == ("config error: T = 1e+300 at dt = 0.001 takes 1e+303 steps, too "
+                           "many to allocate; raise dt or lower T\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["fd", "closed-loop"])
+def test_unallocatable_step_times_are_a_config_error(monkeypatch, tmp_path, capsys, solver):
+    # T/dt = 1e12 step times would take 8 TB; the allocation fails without being tried
+    arange = np.arange
+
+    def out_of_memory(*args, **kwargs):
+        if args and args[0] == 10 ** 12 + 1:
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return arange(*args, **kwargs)
+    monkeypatch.setattr(issgain.pde_sim.np, "arange", out_of_memory)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--solver", solver, "--T", "1e9", "--dt", "1e-3",
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == ("config error: T = 1000000000.0 at dt = 0.001 takes "
+                                       "1e+12 steps, too many to allocate; raise dt or "
+                                       "lower T\n")
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack, solve_banded
 
+import issgain.cli
 import issgain.pde_sim as pde_sim
 import issgain.sturm_liouville
 from issgain import (
@@ -33,6 +34,7 @@ from issgain import (
     simulate_spectral,
     simulate_via_lifting,
     solve_spectrum,
+    solve_kernel,
     solve_steady_bvp,
     transport_problem,
     verify_iss,
@@ -134,6 +136,53 @@ def solve_banded_cn(problem, d, x0, dt, T, n_store, operator=None):
         if step + 1 in store_at:
             record(step + 1)
     return np.array(states), np.array(norms)
+
+
+def longdouble_cn(problem, inlet, x0, dt, store_at, feedback=None):
+    """Reference Crank-Nicolson loop in long double on the float64 entries of
+    ``_assemble``: (M + hT) x_{k+1} = (M - hT) x_k + h inlet e_1 (u_k + u_{k+1}),
+    h = dt/2, one Thomas solve per step.  With a ``feedback`` row, u_{k+1} =
+    inlet[k+1] - feedback @ x_{k+1}, solved exactly for u_{k+1}.  Returns the
+    stored active-node states and u, as long double."""
+    ld = np.longdouble
+    diag, off, mass, load, lo, hi = issgain.sturm_liouville._assemble(problem,
+                                                                      problem.resolution)
+    diag, off, mass, load = diag.astype(ld), off.astype(ld), mass.astype(ld), ld(load)
+    half = ld(dt) / 2
+    lower = half * off                   # off-diagonal of M + hT, and minus that of M - hT
+    pivots = mass + half * diag
+    for i in range(1, pivots.size):
+        pivots[i] -= lower[i - 1] ** 2 / pivots[i - 1]
+
+    def solve(rhs):
+        y = rhs.copy()
+        for i in range(1, y.size):
+            y[i] -= lower[i - 1] / pivots[i - 1] * y[i - 1]
+        y[-1] /= pivots[-1]
+        for i in range(y.size - 2, -1, -1):
+            y[i] = (y[i] - lower[i] * y[i + 1]) / pivots[i]
+        return y
+
+    unit = np.zeros(diag.size, dtype=ld)
+    unit[0] = half * load
+    response = solve(unit)               # x_{k+1} per unit u_{k+1}
+    row = None if feedback is None else feedback[lo:hi + 1].astype(ld)
+    inlet = inlet.astype(ld)
+    x, u = x0[lo:hi + 1].astype(ld), inlet[0]
+    rows, us = [x], [u]
+    for step in range(store_at[-1]):
+        rhs = (mass - half * diag) * x
+        rhs[:-1] -= lower * x[1:]
+        rhs[1:] -= lower * x[:-1]
+        rhs[0] += half * load * u
+        free = solve(rhs)
+        u = inlet[step + 1] if row is None else \
+            (inlet[step + 1] - row @ free) / (1 + row @ response)
+        x = free + response * u
+        if step + 1 in store_at:
+            rows.append(x)
+            us.append(u)
+    return np.array(rows), np.array(us)
 
 
 FD_ORACLE_PROBLEMS = {
@@ -459,15 +508,14 @@ class TestCrankNicolsonLoop:
         assert np.max(np.abs(traj.norms - norms)) <= 1e-11 * np.max(norms)
 
     def test_work_per_run(self, monkeypatch, transport_case_problem):
-        calls = {"dgttrf": 0, "dgtsv": 0, "GridFunction": 0}
+        calls = {"dstevd": 0, "dgtsv": 0, "GridFunction": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
-        monkeypatch.setattr(pde_sim, "dgttrf", counted("dgttrf", lapack.dgttrf),
-                            raising=False)
+        monkeypatch.setattr(pde_sim, "dstevd", counted("dstevd", lapack.dstevd))
         monkeypatch.setattr(issgain.sturm_liouville, "dgtsv",
                             counted("dgtsv", lapack.dgtsv))
         monkeypatch.setattr(GridFunction, "__post_init__",
@@ -478,9 +526,9 @@ class TestCrankNicolsonLoop:
         d = DisturbanceSignal.sinusoid(1.0, 2.0)
         built = []
         for n_store in (160, 8):
-            calls.update(dgttrf=0, GridFunction=0)
+            calls.update(dstevd=0, GridFunction=0)
             traj = simulate_fd(problem, d, x0, 1e-3, 0.5, n_store=n_store)
-            assert calls["dgttrf"] == 1
+            assert calls["dstevd"] == 1          # one eigensolve per run, none per step
             built.append(calls["GridFunction"])
         assert calls["dgtsv"] == 0
         # the lifting cubic is built whatever the number of stored states
@@ -489,15 +537,38 @@ class TestCrankNicolsonLoop:
         assert traj.values.shape[0] == traj.times.size == 9
         assert not traj.values.flags.writeable
 
-    def test_zero_pivot_is_a_numerical_failure(self, monkeypatch, laplacian_problem):
-        def singular(*args, **kwargs):
-            *factors, _ = lapack.dgttrf(*args, **kwargs)
-            return (*factors, 1)
-        monkeypatch.setattr(pde_sim, "dgttrf", singular, raising=False)
-        x0 = GridFunction(laplacian_problem.grid, np.zeros(laplacian_problem.resolution + 1))
-        with pytest.raises(NumericalFailure, match="singular"):
-            simulate_fd(laplacian_problem, DisturbanceSignal.sinusoid(1.0, 2.0), x0,
-                        1e-3, 0.01)
+    def test_zero_pivot_is_a_numerical_failure(self, monkeypatch, tmp_path, capsys,
+                                               laplacian_problem):
+        # a failed eigensolve ends in exit 2 through the CLI
+        def failed(*args, **kwargs):
+            vals, vectors, _ = lapack.dstevd(*args, **kwargs)
+            return vals, vectors, 1
+        with monkeypatch.context() as patch:
+            patch.setattr(pde_sim, "dstevd", failed)
+            assert issgain.cli.main(["simulate", "--solver", "fd", "--T", "0.01",
+                                     "--output", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: Crank-Nicolson eigensolve failed")
+        # two uncoupled active nodes of mass 1, the inlet one of stiffness s: lam = s
+        # exactly, and at dt = 1 a feedback value f there gives 1 + h_0 = 1 + f/4 for s = 2
+        problem = laplacian_problem
+        inlet, store_at = np.zeros(3), pde_sim._store_indices(2, 2)
+        x0 = np.zeros(problem.resolution + 1)
+
+        def uncoupled(stiffness):
+            return lambda *args: (np.array([stiffness, 4.0]), np.zeros(1), np.ones(2),
+                                  1.0, 1, 2)
+        monkeypatch.setattr(pde_sim, "_assemble", uncoupled(-2.0))     # 1 + lam/2 = 0
+        with pytest.raises(NumericalFailure, match="Crank-Nicolson matrix is singular"):
+            pde_sim._crank_nicolson(problem, inlet, x0, 1.0, store_at)
+        monkeypatch.setattr(pde_sim, "_assemble", uncoupled(2.0))
+        feedback = np.zeros(problem.resolution + 1)
+        feedback[1] = -4.0
+        with pytest.raises(NumericalFailure, match="closed-loop inlet equation is singular"):
+            pde_sim._crank_nicolson(problem, inlet, x0, 1.0, store_at, feedback=feedback)
+        feedback[1] = -2.0                                            # 1 + h_0 = 1/2
+        rows, u = pde_sim._crank_nicolson(problem, inlet, x0, 1.0, store_at, feedback=feedback)
+        assert np.all(np.isfinite(rows)) and np.all(np.isfinite(u))
 
     def test_non_finite_stored_row_rejected(self, laplacian_problem):
         grid = laplacian_problem.grid
@@ -529,13 +600,55 @@ class TestCrankNicolsonLoop:
         assert np.array_equal(open_loop[1], zero_row[1])
         assert np.array_equal(open_loop[1], inlet[store_at])
 
+    @pytest.mark.parametrize("name", ["dirichlet", "robin exit", "robin inlet",
+                                      "feedback row"])
+    def test_matches_longdouble_step_loop(self, name):
+        # 400 steps at M = 64 against the long double loop on the same entries; the
+        # largest distance measured was 2.7e-14 of max|x| (robin inlet), and the
+        # earlier loop of one tridiagonal solve per step measured up to 6.2e-14
+        feedback = None
+        if name == "feedback row":
+            problem = transport_problem(1.0, 0.0, -5.0, math.inf, resolution=64)
+            w = solve_kernel(ClosedLoopConfig(D=1.0, p=5.0, c=2.0), 64).weighted[0]
+            feedback = w / (1.0 + w[0])
+        else:
+            problem = {"dirichlet": build_problem(1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 64),
+                       "robin exit": transport_problem(1.0, 2.0, 0.0, 1.0, resolution=64),
+                       "robin inlet": build_problem(1.0, 1.0, 1.0, 1, 0, 1, -1, 64)}[name]
+        dt, n_steps = 1e-3, 400
+        inlet = np.asarray(DisturbanceSignal.sinusoid(1.0, 3.0).value(dt * np.arange(n_steps + 1)))
+        x0 = 0.5 * np.sin(math.pi * problem.grid) * (1.0 - problem.grid)
+        store_at = pde_sim._store_indices(n_steps, 40)
+        rows, u = pde_sim._crank_nicolson(problem, inlet, x0, dt, store_at, feedback)
+        ref_rows, ref_u = longdouble_cn(problem, inlet, x0, dt, store_at, feedback)
+        lo = 1 if problem.b2 == 0.0 else 0
+        ref_rows, ref_u = ref_rows.astype(float), ref_u.astype(float)
+        active = rows[:, lo:lo + ref_rows.shape[1]]
+        assert np.max(np.abs(active - ref_rows)) <= 1e-13 * np.max(np.abs(ref_rows))
+        assert np.max(np.abs(u - ref_u)) <= 1e-13 * np.max(np.abs(ref_u))
+
+    @pytest.mark.parametrize("n_steps", [1, pde_sim.CN_BLOCK - 1, pde_sim.CN_BLOCK,
+                                         pde_sim.CN_BLOCK + 1])
+    @pytest.mark.parametrize("n_store", [1, 1000])
+    def test_block_boundaries_match_solve_banded_loop(self, n_steps, n_store):
+        # one step, one step short of a block, one block, and one block and a step,
+        # storing only the end or every step
+        problem = FD_ORACLE_PROBLEMS["transport a=1"]()
+        d = DisturbanceSignal.sinusoid(1.0, 3.0)
+        x0 = GridFunction(problem.grid, 0.5 * np.sin(math.pi * problem.grid))   # d(0) = 0
+        dt = 2.0 ** -10                  # T/dt is the integer n_steps exactly
+        traj = simulate_fd(problem, d, x0, dt, n_steps * dt, n_store=n_store)
+        states, norms = solve_banded_cn(problem, d, x0, dt, n_steps * dt, n_store)
+        assert traj.values.shape[0] == min(n_store, n_steps) + 1
+        assert np.max(np.abs(traj.values - states)) <= 1e-12 * np.max(np.abs(states))
+        assert np.max(np.abs(traj.norms - norms)) <= 1e-12 * np.max(norms)
+
     @pytest.mark.parametrize("route", ["fd", "closed-loop"])
     def test_superposition_from_rest(self, transport_case_problem, route):
         # x0 = 0 and d(0) = 0: the runs of d1, d2 and d1 + d2 through the one step
         # body add up; d1 + d2 is tabulated on the step grid, where it interpolates
         dt, T = 1e-3, 0.5
-        n_steps, dt_run = pde_sim._time_steps(dt, T)
-        steps = dt_run * np.arange(n_steps + 1)
+        *_, steps = pde_sim._time_steps(dt, T)
         d1 = DisturbanceSignal.sinusoid(1.0, 3.0)
         d2 = DisturbanceSignal.smoothed_step(2.0, 0.3)
         with pytest.warns(SmoothnessWarning):
