@@ -5,7 +5,7 @@ Three routes to the same solution:
 * ``simulate_fd``          - Crank-Nicolson finite differences, boundary data
                              entering through the scheme average (half-step),
                              run in the eigenbasis of the discrete operator
-                             in blocks of ``CN_BLOCK`` steps.
+                             in blocks of at most ``CN_BLOCK`` steps.
 * ``simulate_spectral``    - exact exponential integration of the modal
                              dynamics c_n' = -lambda_n c_n + coupling_n d(t),
                              lifted by the steady state.
@@ -146,15 +146,6 @@ def lift_disturbance(problem: SLProblem) -> LiftingRecord:
 # finite differences (Crank-Nicolson)
 
 
-def _semidiscrete_operator(problem: SLProblem):
-    """Sub-, main and super-diagonal of A, load and active window lo..hi of
-    x' = A x + d(t) load e_1, where A = -M^{-1} T on the active nodes of the
-    finite-volume stiffness T and lumped mass M of ``_assemble``; the load is
-    the inlet column's one nonzero over its mass."""
-    diag, off, mass, inlet, lo, hi = _assemble(problem, problem.resolution)
-    return -off / mass[1:], -diag / mass, -off / mass[:-1], inlet / mass[0], lo, hi
-
-
 def _require_store(n_store: int):
     if n_store < 1:
         raise ValueError(f"n_store must be at least 1, got {n_store}")
@@ -218,38 +209,49 @@ def _check_compatibility(problem: SLProblem, x0: GridFunction, d: DisturbanceSig
 
 def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: float,
                     store_at: np.ndarray, feedback: np.ndarray | None = None):
-    """Crank-Nicolson run of x' = A x + u(t) load e_1, the operator of
-    :func:`_semidiscrete_operator` on the active nodes of ``problem``, in the
-    eigenbasis of the scaled stiffness.
+    """Crank-Nicolson run of x' = A x + u(t) load e_1 on the active nodes of
+    ``problem``, A = -M^{-1} T for the finite-volume stiffness T and lumped mass M
+    of ``_assemble`` and load its inlet column over m_0, in the eigenbasis of the
+    scaled stiffness S = M^{-1/2} T M^{-1/2} = V diag(lam) V^T (one ``dstevd``).
 
-    A = -M^{-1} T with S = M^{-1/2} T M^{-1/2} = V diag(lam) V^T (one ``dstevd``).
     In c = V^T M^{1/2} x, with h = dt/2, one step is the diagonal map
     c_{k+1} = rho c_k + gamma (u_k + u_{k+1}), rho = (1 - h lam)/(1 + h lam) and
     gamma = h inlet V[0]/(sqrt(m_0) (1 + h lam)).  lam are the energy-form Rayleigh
-    quotients of the vectors w = M^{-1/2} V, sums of nonnegative edge and node
-    terms with no cancellation (Parlett, The Symmetric Eigenvalue Problem, 1998).
+    quotients of the vectors w = M^{-1/2} V (Parlett, The Symmetric Eigenvalue
+    Problem, 1998): the edge terms -off (w_{i+1} - w_i)^2 are nonnegative, and only
+    the reaction and boundary node terms can cancel them.  The eigensolve keeps
+    n x n arrays for n active nodes; when they cannot be allocated the run raises
+    :class:`ConfigError`.
 
     ``x0`` and ``feedback`` are full-grid rows.  u is ``inlet[step]``, or with a
     ``feedback`` row ``inlet[step] - feedback @ x`` from step 1 on (``inlet[0]`` is
     u(0)); with phi = w^T feedback that is u_k = inlet_k - phi @ c_k, and the open
-    loop is phi = 0.  The run takes ``CN_BLOCK`` steps at a time: the block's
-    inlet values solve one lower-triangular Toeplitz system in
-    h_m = sum phi rho^m gamma, whose inverse is formed once (its diagonal 1 + h_0
-    is the Sherman-Morrison denominator of the implicit feedback), and the states
-    stored in the block and its last one are one product.  A failed eigensolve, a
-    zero 1 + h lam or a zero 1 + h_0 raises :class:`NumericalFailure`.  Returns the
-    full-grid states and u at the steps ``store_at``.
+    loop is phi = 0.  The run takes B steps at a time: the block's inlet values
+    solve one lower-triangular Toeplitz system in h_m = sum phi rho^m gamma, whose
+    inverse is formed once (its diagonal 1 + h_0 is the Sherman-Morrison
+    denominator of the implicit feedback), and the states stored in the block and
+    its last one are one product.  B is ``CN_BLOCK`` for a stable operator.  A mode
+    with |rho| > 1 (lam < 0) makes a closed-loop state the small difference of
+    terms of size max|rho|^B |c|, so B shrinks until max|rho|^B <= 4, to 1 step if
+    need be.  A failed eigensolve, a zero 1 + h lam or a zero 1 + h_0 raises
+    :class:`NumericalFailure`.  Returns the full-grid states and u at the steps
+    ``store_at``.
     """
     diag, off, mass, load, lo, hi = _assemble(problem, problem.resolution)
     root = np.sqrt(mass)
-    _, vectors, info = dstevd(diag / mass, off / (root[:-1] * root[1:]))
-    if info != 0:
-        raise NumericalFailure(f"Crank-Nicolson eigensolve failed (LAPACK info {info})")
-    w = vectors / root[:, None]
     node = diag.copy()
     node[:-1] += off
     node[1:] += off
-    lam = (node @ w ** 2 - off @ np.diff(w, axis=0) ** 2) / (mass @ w ** 2)
+    try:
+        _, vectors, info = dstevd(diag / mass, off / (root[:-1] * root[1:]))
+        w = vectors / root[:, None]
+        lam = (node @ w ** 2 - off @ np.diff(w, axis=0) ** 2) / (mass @ w ** 2)
+    except MemoryError:
+        raise ConfigError(f"resolution {problem.resolution} is too fine for the "
+                          f"Crank-Nicolson eigenbasis: its {mass.size} x {mass.size} arrays "
+                          "cannot be allocated; lower the resolution") from None
+    if info != 0:
+        raise NumericalFailure(f"Crank-Nicolson eigensolve failed (LAPACK info {info})")
     half = 0.5 * dt
     den = 1.0 + half * lam
     if np.any(den == 0.0):
@@ -258,14 +260,16 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
     gamma = half * load * vectors[0] / (root[0] * den)
     phi = np.zeros(lam.size) if feedback is None else w.T @ feedback[lo:hi + 1]
 
-    steps = np.arange(CN_BLOCK + 1)
-    powers = rho ** steps[:, None]                  # rho^m, m = 0..CN_BLOCK
+    top = float(np.max(np.abs(rho)))
+    block = CN_BLOCK if top <= 1.0 else max(1, min(CN_BLOCK, int(math.log(4.0) / math.log(top))))
+    steps = np.arange(block + 1)
+    powers = rho ** steps[:, None]                  # rho^m, m = 0..block
     response = powers[:-1] * gamma                  # row m: rho^m gamma
     h = response @ phi
     if 1.0 + h[0] == 0.0:
         raise NumericalFailure(f"closed-loop inlet equation is singular at dt = {dt:.6g}")
     lag = steps[:-1, None] - steps[None, :-1]
-    toeplitz = np.where(lag >= 0, lag, CN_BLOCK)    # lower-triangular; index CN_BLOCK holds 0
+    toeplitz = np.where(lag >= 0, lag, block)       # lower-triangular; index block holds 0
     # u_j of a block carries 1 + h_0, and u_i, i < j, carries h_{j-i} + h_{j-i-1}
     solve = np.linalg.inv(np.concatenate(([1.0 + h[0]], h[1:] + h[:-1], [0.0]))[toeplitz])
 
@@ -273,10 +277,10 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
     u_stored = inlet[store_at]
     c, u = vectors.T @ (root * x0[lo:hi + 1]), inlet[0]
     coeffs[0] = c                                   # step 0 is always stored
-    v = np.zeros(CN_BLOCK + 1)                      # u_{j-1} + u_j, j = 1..n, then 0
+    v = np.zeros(block + 1)                         # u_{j-1} + u_j, j = 1..n, then 0
     first, n_steps = 1, store_at[-1]
-    for start in range(0, n_steps, CN_BLOCK):
-        n = min(CN_BLOCK, n_steps - start)
+    for start in range(0, n_steps, block):
+        n = min(block, n_steps - start)
         rhs = inlet[start + 1:start + n + 1] - powers[1:n + 1] @ (phi * c) - h[:n] * u
         u_block = solve[:n, :n] @ rhs
         v[:n] = u_block

@@ -28,6 +28,7 @@ from issgain import (
 )
 from issgain.grids import simpson_weights, tail_quadrature_matrix
 from issgain.pde_sim import CN_BLOCK, _store_indices
+from issgain.sturm_liouville import _assemble
 from oracles import reciprocity_residual
 
 # dblquad of the closed-form kernel squared over the triangle, lam = 5
@@ -458,6 +459,23 @@ class TestClosedLoop:
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
         assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 
+    @pytest.mark.parametrize("p, dt, T", [(50.0, 1e-2, 1.0), (200.0, 1e-3, 0.3)])
+    def test_unstable_plant_matches_standalone_step_loop(self, p, dt, T):
+        # p > D pi^2: the plant's first modes grow, |rho| reaches 1.5 (p = 50) and 1.2
+        # (p = 200) per step, and the feedback alone makes the loop decay; a block of
+        # 48 such steps would leave each state the small difference of terms 1.5^48
+        # times its size
+        d = DisturbanceSignal.sinusoid(1.0, 2.0, 0.7)
+        cfg = ClosedLoopConfig(D=1.0, p=p, c=1.0, d=d)
+        kernel = solve_kernel(cfg, 64)
+        inverse = solve_inverse_kernel(cfg, 64)
+        y0 = compatible_y0(d, kernel, inverse)
+        result = simulate_closed_loop(cfg, y0, dt, T, kernel=kernel,
+                                      inverse_kernel=inverse, n_store=40)
+        rows, uvals = closed_loop_step_oracle(cfg, y0, dt, T, kernel, 40)
+        assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
+        assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
+
     def test_incompatible_initial_state(self):
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(1.0))
         grid = uniform_grid(64)
@@ -487,19 +505,19 @@ class TestClosedLoop:
 
 
 class TestPlantOperator:
-    """The closed loop steps the plant SLProblem p = D, q = -p, r = 1 (Dirichlet)."""
+    """The closed loop runs the plant SLProblem p = D, q = -p, r = 1 (Dirichlet):
+    its finite-volume stiffness and mass are the reaction-diffusion stencil."""
 
     @pytest.mark.parametrize("D, p, m", [(1.0, 3.0, 256), (0.7, 5.0, 64), (2.0, -1.0, 128)])
     def test_plant_operator_is_the_reaction_diffusion_stencil(self, D, p, m):
-        from issgain.pde_sim import _semidiscrete_operator
         plant = transport_problem(D, 0.0, -p, math.inf, resolution=m)
-        sub, diag, sup, load, lo, hi = _semidiscrete_operator(plant)
-        rho = D * m * m
+        diag, off, mass, load, lo, hi = _assemble(plant, m)
+        # m is a power of 2, so h = 1/m and every entry below is exact
         assert (lo, hi) == (1, m - 1)
-        assert np.array_equal(sub, np.full(m - 2, rho))
-        assert np.array_equal(sup, np.full(m - 2, rho))
-        assert np.array_equal(diag, np.full(m - 1, -2.0 * rho + p))
-        assert load == rho
+        assert np.array_equal(off, np.full(m - 2, -D * m))
+        assert np.array_equal(diag, np.full(m - 1, 2.0 * D * m - p / m))
+        assert np.array_equal(mass, np.full(m - 1, 1.0 / m))
+        assert load == D * m
 
     def test_resolution_below_64_rejected(self):
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(0.0))

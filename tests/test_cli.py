@@ -775,6 +775,23 @@ def test_unallocatable_step_times_are_a_config_error(monkeypatch, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver", ["fd", "closed-loop"])
+def test_unallocatable_eigenbasis_is_a_config_error(monkeypatch, tmp_path, capsys, solver):
+    # the Crank-Nicolson eigenvectors fill an n x n array; an allocation failure there
+    # names the resolution, and is raised here without allocating anything
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB")
+    monkeypatch.setattr(issgain.pde_sim, "dstevd", out_of_memory)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--solver", solver, "--T", "0.01", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: resolution 256 is too fine for the Crank-Nicolson "
+                          "eigenbasis: its ")
+    assert err.endswith(" arrays cannot be allocated; lower the resolution\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_keeps_warnings_recordable_and_restores_format(tmp_path):
     before = warnings.formatwarning
     with pytest.warns(CompatibilityWarning):

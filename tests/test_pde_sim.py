@@ -100,6 +100,15 @@ def loop_semidiscrete_operator(problem):
     return lower, diag, upper, load, lo, hi
 
 
+def assembled_operator(problem):
+    """The operator A = -M^{-1} T of ``_assemble``'s stiffness T and mass M, and
+    its load, in the layout of :func:`loop_semidiscrete_operator` without its
+    unused ends: sub-, main and super-diagonal, load, lo, hi."""
+    diag, off, mass, inlet, lo, hi = issgain.sturm_liouville._assemble(problem,
+                                                                      problem.resolution)
+    return -off / mass[1:], -diag / mass, -off / mass[:-1], inlet / mass[0], lo, hi
+
+
 def solve_banded_cn(problem, d, x0, dt, T, n_store, operator=None):
     """Reference Crank-Nicolson run for compatible x0: one banded solve of the
     unfactored matrix per step, one fresh array per stored state.  The
@@ -467,7 +476,7 @@ class TestCrankNicolsonLoop:
     def test_operator_matches_loop_assembly(self, name):
         problem = FD_ORACLE_PROBLEMS[name]()
         lower, diag, upper, load, lo, hi = loop_semidiscrete_operator(problem)
-        got = pde_sim._semidiscrete_operator(problem)
+        got = assembled_operator(problem)
         assert got[4:] == (lo, hi)
         assert not np.any(load[1:])
         for a, b in zip(got[:4], (lower[1:], diag, upper[:-1], load[0])):
@@ -499,7 +508,7 @@ class TestCrankNicolsonLoop:
         d = DisturbanceSignal.sinusoid(1.0, 6.0)
         x0 = GridFunction(problem.grid, np.zeros(problem.resolution + 1))
         traj = simulate_fd(problem, d, x0, 5e-4, 1.5)
-        sub, diag, sup, load, lo, hi = pde_sim._semidiscrete_operator(problem)
+        sub, diag, sup, load, lo, hi = assembled_operator(problem)
         same_operator = (np.r_[0.0, sub], diag, np.r_[sup, 0.0],
                          np.r_[load, np.zeros(diag.size - 1)], lo, hi)
         states, norms = solve_banded_cn(problem, d, x0, 5e-4, 1.5, pde_sim.DEFAULT_STORE,
