@@ -36,6 +36,7 @@ CONFIGS = {"x.cfg": _config(TRANSPORT), "negq.cfg": _config(CONSTANT),
            "robin.cfg": _config(CONSTANT, q="0.5", r="1", a2="0", b1="2", b2="1"),
            "robin-inlet.cfg": _config(CONSTANT, q="1", r="1", a2="0", b2="-1"),
            "robin-both.cfg": _config(CONSTANT, q="1", r="1", b2="-1"),
+           "unread.cfg": _config(TRANSPORT, c="5"),
            **{f"bad_{k}_{i}.cfg": _config(TRANSPORT, **{k: v}) for i, (k, v) in enumerate(BAD)}}
 
 ISS = "--verify-iss --iss-output iss.csv"
@@ -84,7 +85,8 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "fd --case transport --zeta nan", "fd --case transport --a -1",
             "fd --case transport --v inf", "fd --case backstepping --c -1",
             "closed-loop --c -1", "closed-loop --D 0", "closed-loop --c 1e308 --D 1e-300",
-            "closed-loop --plant-p 1e300 --D 1e-300", f"closed-loop --c 1.3 --D 0.6 {ISS}"]
+            "closed-loop --plant-p 1e300 --D 1e-300", f"closed-loop --c 1.3 --D 0.6 {ISS}",
+            "closed-loop --plant-p 200 --output cl.csv", "advection --config ../x.cfg"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 

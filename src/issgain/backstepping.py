@@ -136,7 +136,6 @@ def apply_transform(kernel: Kernel, f: GridFunction) -> GridFunction:
 class ClosedLoopResult:
     y: Trajectory                 # plant trajectory, states carry y(t,0) = u(t)
     x: Trajectory                 # transformed trajectory (target variables)
-    control: np.ndarray           # u at stored times
     kernel: Kernel
     inverse_kernel: Kernel
 
@@ -193,7 +192,7 @@ def simulate_closed_loop(cfg: ClosedLoopConfig, y0: GridFunction, dt: float, T: 
 
     y_traj = trajectory(y_rows, "closed-loop-cn", extras={"control": uvals})
     x_traj = trajectory(y_rows + y_rows @ kernel.weighted.T, "closed-loop-transformed")
-    return ClosedLoopResult(y_traj, x_traj, uvals, kernel, inverse_kernel)
+    return ClosedLoopResult(y_traj, x_traj, kernel, inverse_kernel)
 
 
 def closed_loop_bound(cfg: ClosedLoopConfig, kernel_norm: float,

@@ -231,14 +231,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_PROBLEM_SOLVERS = ("fd", "spectral", "lifted")
+_READ_BY = {"--case": _PROBLEM_SOLVERS, "--config": _PROBLEM_SOLVERS, "--q": _PROBLEM_SOLVERS,
+            "--kernel-output": ("closed-loop",), "--weight-D": ("advection",)}
+# a kernel pair is usable when max|(I+K)(I+L)x0 - x0| <= ROUNDTRIP_BOUND max|x0|; at M = 256 the
+# round trip is 1.6e-4 at p = 100, where u is 9.7e-4 of max|u| off a run at M = 1024
+ROUNDTRIP_BOUND = 1e-4
+
+
 def cmd_simulate(args) -> int:
     if args.store < 1:
         raise ConfigError(f"--store must be at least 1, got {args.store}")
+    for flag, solvers in _READ_BY.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.solver not in solvers:
+            raise ConfigError(f"--solver {args.solver} does not read {flag}")
     if args.verify_iss:      # settle the ISS settings before any solve or output
         eps = tuple(float(e) for e in args.eps.split(","))
         _require_iss_settings(eps, args.slack)
     d = _signal_from_args(args)
-    problem = spectrum = envelope = case = None
+    envelope = None          # each branch builds it before its solve
     if args.solver == "advection":
         for flag, value in (("--v", args.v), ("--D", args.D), ("--weight-D", args.weight_D)):
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -247,7 +258,7 @@ def cmd_simulate(args) -> int:
         if not math.isfinite(args.k):
             raise ConfigError(f"--k must be finite for the advection solver, got {args.k}")
         v, k, d_ref = args.v, args.k, args.D if args.weight_D is None else args.weight_D
-        if args.verify_iss:     # built before the solve: a --v that overflows it is rejected
+        if args.verify_iss:
             envelope = IssEnvelope(decay_rate=k + v * v / (2.0 * d_ref),
                                    gain_base=advection_gain(v, d_ref, k),
                                    epsilon_dependent=False, max_window=1.0 / v)
@@ -266,10 +277,19 @@ def cmd_simulate(args) -> int:
         cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c, d=d)
         kernel = solve_kernel(cfg, args.resolution)
         inverse = solve_inverse_kernel(cfg, args.resolution)
+        if args.verify_iss:
+            envelope = closed_loop_bound(cfg, kernel.norm, inverse.norm)
         grid = kernel.grid
         d0 = float(d.value(np.asarray(0.0)))
         x0 = GridFunction(grid, d0 * (1.0 - grid) + 0.5 * args.amplitude * np.sin(math.pi * grid))
         y0 = apply_transform(inverse, x0).values
+        roundtrip = float(np.max(np.abs(apply_transform(kernel, GridFunction(grid, y0)).values
+                                        - x0.values)))
+        if roundtrip > ROUNDTRIP_BOUND * float(np.max(np.abs(x0.values))):
+            raise NumericalFailure(
+                f"the kernel pair at lam_bar = {cfg.lam_bar:.6g} does not invert at resolution "
+                f"{args.resolution}: max|(I+K)(I+L)x0 - x0| = {roundtrip:.3g}, more than "
+                f"{ROUNDTRIP_BOUND:g} x max|x0|; raise the resolution")
         # the discrete transform pair is inverse only to quadrature error, so solve the
         # feedback identity y0(0) = d0 - integral k(0,s) y0(s) ds for y0(0)
         w = kernel.weighted[0]
@@ -280,27 +300,23 @@ def cmd_simulate(args) -> int:
             csvio.write_csv(*csvio.kernel_table(kernel), args.kernel_output)
     else:
         problem, case = _problem_from_args(args)
+        spectrum = None if args.solver == "fd" else solve_spectrum(problem, args.modes)
+        if args.verify_iss:   # a named case takes the closed form: no spectrum, no series
+            envelope = (IssEnvelope.from_case(case) if case is not None else
+                        IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum)))
         d0 = float(d.value(np.asarray(0.0)))
         x0 = _initial_state(args, problem, d0)
         if args.solver == "fd":
             traj = simulate_fd(problem, d, x0, args.dt, args.T, n_store=args.store)
+        elif args.solver == "spectral":
+            traj = simulate_spectral(problem, spectrum, d, x0, args.T,
+                                     N=args.modes, n_store=args.store)
         else:
-            spectrum = solve_spectrum(problem, args.modes)
-            if args.solver == "spectral":
-                traj = simulate_spectral(problem, spectrum, d, x0, args.T,
-                                         N=args.modes, n_store=args.store)
-            else:
-                traj = simulate_via_lifting(problem, spectrum, d, x0, args.T,
-                                            N=args.modes, n_store=args.store)
+            traj = simulate_via_lifting(problem, spectrum, d, x0, args.T,
+                                        N=args.modes, n_store=args.store)
     csvio.write_csv(*csvio.trajectory_table(traj, args.wide), args.output)
-    if not args.verify_iss:
+    if envelope is None:
         return 0
-    if args.solver == "closed-loop":
-        envelope = closed_loop_bound(cfg, kernel.norm, inverse.norm)
-    elif case is not None:        # the closed form and its lambda1 need no spectrum
-        envelope = IssEnvelope.from_case(case)
-    elif args.solver != "advection":
-        envelope = IssEnvelope.from_gain_report(gain_bvp(problem, spectrum=spectrum))
     report = verify_iss(traj, envelope, epsilons=eps, slack=args.slack)
     csvio.write_csv(*csvio.iss_table(report), args.iss_output)
     return 0 if report.passed else 2
@@ -341,6 +357,9 @@ def _run(argv) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:      # numpy's message names the size and shape it failed on
+        print(f"config error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 3
     except IssgainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ Example::
 Coefficient kinds: ``constant`` (keys p, q, r), ``transport`` (keys D, v, k,
 a and form = x | y) and ``table`` (key table = CSV path with columns
 z,p,q,r).  ``constant`` and ``table`` need explicit boundary constants
-a1, a2, b1, b2.
+a1, a2, b1, b2.  A key that the config's kind does not read is an error.
 """
 from __future__ import annotations
 
@@ -28,9 +28,11 @@ from .sturm_liouville import DEFAULT_RESOLUTION, SLProblem, build_problem
 
 SCHEMA = "issgain/1"
 
-_KNOWN_KEYS = {
-    "schema", "kind", "p", "q", "r", "D", "v", "k", "a", "c", "form",
-    "table", "a1", "a2", "b1", "b2", "resolution",
+_BOUNDARY_KEYS = ("a1", "a2", "b1", "b2")
+_KEYS_BY_KIND = {      # the keys each kind reads, besides schema, kind and resolution
+    "constant": {"p", "q", "r", *_BOUNDARY_KEYS},
+    "transport": {"D", "v", "k", "a", "form"},
+    "table": {"table", *_BOUNDARY_KEYS},
 }
 
 
@@ -43,8 +45,6 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in cfg:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         cfg[key] = value
@@ -76,6 +76,11 @@ def _get_float(cfg: dict, key: str, default=None) -> float:
 
 def problem_from_config(cfg: dict) -> SLProblem:
     kind = cfg.get("kind")
+    if kind not in _KEYS_BY_KIND:
+        raise ConfigError(f"unknown or missing kind: {kind!r}")
+    unread = sorted(set(cfg) - {"schema", "kind", "resolution"} - _KEYS_BY_KIND[kind])
+    if unread:        # a key the kind ignores is a mistake, not a setting
+        raise ConfigError(f"kind {kind} does not read key {unread[0]!r}")
     resolution = _get_float(cfg, "resolution", DEFAULT_RESOLUTION)
     if not (math.isfinite(resolution) and resolution == int(resolution)):
         raise ConfigError(f"key 'resolution': not a finite integer: {cfg['resolution']!r}")
@@ -92,19 +97,17 @@ def problem_from_config(cfg: dict) -> SLProblem:
         a = _get_float(cfg, "a")
         form = cfg.get("form", "x")
         return transport_problem(d_coef, v, k, a, form=form, resolution=resolution)
-    if kind == "table":
-        path = cfg.get("table")
-        if not path or not os.path.exists(path):
-            raise ConfigError(f"table file not found: {path!r}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        if data.ndim != 2 or data.shape[1] != 4:
-            raise ConfigError("coefficient table must have columns z,p,q,r")
-        z, p, q, r = data.T
-        return build_problem(
-            Coefficient.table(z, p), Coefficient.table(z, q), Coefficient.table(z, r),
-            _get_float(cfg, "a1"), _get_float(cfg, "a2"),
-            _get_float(cfg, "b1"), _get_float(cfg, "b2"), resolution)
-    raise ConfigError(f"unknown or missing kind: {kind!r}")
+    path = cfg.get("table")           # kind == "table"
+    if not path or not os.path.exists(path):
+        raise ConfigError(f"table file not found: {path!r}")
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    if data.ndim != 2 or data.shape[1] != 4:
+        raise ConfigError("coefficient table must have columns z,p,q,r")
+    z, p, q, r = data.T
+    return build_problem(
+        Coefficient.table(z, p), Coefficient.table(z, q), Coefficient.table(z, r),
+        _get_float(cfg, "a1"), _get_float(cfg, "a2"),
+        _get_float(cfg, "b1"), _get_float(cfg, "b2"), resolution)
 
 
 def transport_problem(D: float, v: float, k: float, a: float,

@@ -39,6 +39,7 @@ SWEEP_EXITS = (0.0, 1.0, math.inf)    # the exit parameters a of the sweep colum
 
 _PI2 = math.pi ** 2
 _PI4 = math.pi ** 4
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ class GainReport:
 
     ``tail_estimate`` is expressed in gain units: the tail-corrected value of
     the constant is ``gain_C + tail_estimate`` (zero for non-series routes).
-    ``iss_gain`` is the envelope gain C sqrt((1+1/eps)/(b1^2+b2^2)).
+    ``iss_overshoot`` sqrt(1+eps) and ``iss_gain`` C sqrt((1+1/eps)/(b1^2+b2^2))
+    are the envelope's factors at ``epsilon`` = 1; ``verify_iss`` takes any eps.
     """
 
     gain_C: float
@@ -68,14 +70,11 @@ class GainReport:
         return self.gain_C + self.tail_estimate
 
 
-def _report(gain, route, n, tail, epsilon, decay, bnorm, **extra) -> GainReport:
-    corrected = gain + tail
+def _report(gain, route, n, tail, decay, bnorm, **extra) -> GainReport:
     return GainReport(
         gain_C=gain, route=route, truncation_N=n, tail_estimate=tail,
-        epsilon=epsilon, iss_overshoot=math.sqrt(1.0 + epsilon),
-        iss_decay_rate=decay,
-        iss_gain=corrected * math.sqrt(1.0 + 1.0 / epsilon) / bnorm,
-        boundary_norm=bnorm, **extra)
+        epsilon=1.0, iss_overshoot=_SQRT2, iss_decay_rate=decay,
+        iss_gain=(gain + tail) * _SQRT2 / bnorm, boundary_norm=bnorm, **extra)
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,7 @@ def transport_gain_closed(zeta: float, a: float) -> float:
     return math.sqrt(max(g2, 0.0))
 
 
-def transport_gain(case: TransportCase, N: int = DEFAULT_SERIES_N,
-                   epsilon: float = 1.0) -> GainReport:
+def transport_gain(case: TransportCase, N: int = DEFAULT_SERIES_N) -> GainReport:
     """Gain of the transport problem by series and closed routes.
 
     ``gain_C`` carries the closed-form value; the tail-corrected series value
@@ -240,17 +238,15 @@ def transport_gain(case: TransportCase, N: int = DEFAULT_SERIES_N,
         s_partial = float(np.sum(transport_series_terms(zeta, case.a, N)))
         shift = 0.0 if math.isinf(case.a) else 0.5
         series = math.sqrt(s_partial + _series_remainder(N, shift, 2.0, -4.0 * zeta ** 2))
-    return _report(gain, "closed_form", N, 0.0, epsilon,
-                   decay=case.lambda1(), bnorm=1.0,
+    return _report(gain, "closed_form", N, 0.0, decay=case.lambda1(), bnorm=1.0,
                    series_value=series, closed_value=gain,
                    discrepancy=abs(series - gain))
 
 
-def backstepping_gain(c: float, D: float, N: int = DEFAULT_SERIES_N,
-                      epsilon: float = 1.0) -> GainReport:
+def backstepping_gain(c: float, D: float, N: int = DEFAULT_SERIES_N) -> GainReport:
     """Gain of the Dirichlet target problem q = c: the transport gain at
     v = 0, k = c, a = inf, i.e. G(sqrt(c/D), inf) with decay c + D pi^2."""
-    return transport_gain(TransportCase.from_target(c, D), N, epsilon)
+    return transport_gain(TransportCase.from_target(c, D), N)
 
 
 def advection_gain(v: float, D: float, k: float = 0.0,
@@ -293,8 +289,7 @@ def _certify(spectrum: Spectrum):
             f"hypothesis not certified (lambda1={report.lambda1:.6g}, method={report.method})")
 
 
-def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
-                epsilon: float = 1.0) -> GainReport:
+def gain_series(problem: SLProblem, spectrum: Spectrum, N: int) -> GainReport:
     """Series route: partial sum of p(0)^2 lambda_n^{-2}|b1 phi'(0)-b2 phi(0)|^2.
 
     ``gain_C`` is the square root of the certified partial sum;
@@ -323,8 +318,7 @@ def gain_series(problem: SLProblem, spectrum: Spectrum, N: int,
     tail_sq = _series_remainder(N, shift, c2, c4)
     gain = math.sqrt(partial)
     tail_gain = math.sqrt(partial + tail_sq) - gain
-    return _report(gain, "series", N, tail_gain, epsilon,
-                   decay=float(spectrum.eigenvalues[0]), bnorm=s)
+    return _report(gain, "series", N, tail_gain, decay=float(spectrum.eigenvalues[0]), bnorm=s)
 
 
 def bvp_integral(problem: SLProblem) -> float:
@@ -338,14 +332,13 @@ def bvp_integral(problem: SLProblem) -> float:
     return math.sqrt(max((4.0 * s2 - s1) / 3.0, 0.0))
 
 
-def gain_bvp(problem: SLProblem, epsilon: float = 1.0,
-             spectrum: Spectrum | None = None) -> GainReport:
+def gain_bvp(problem: SLProblem, spectrum: Spectrum | None = None) -> GainReport:
     """Integral route: :func:`bvp_integral`, certified by the spectrum's
     hypothesis report, with the spectrum's lambda1 as the decay rate."""
     if spectrum is None:
         spectrum = solve_spectrum(problem, min(16, max(10, problem.resolution // 8)))
     _certify(spectrum)
-    return _report(bvp_integral(problem), "bvp_integral", 0, 0.0, epsilon,
+    return _report(bvp_integral(problem), "bvp_integral", 0, 0.0,
                    decay=float(spectrum.eigenvalues[0]), bnorm=problem.boundary_norm)
 
 

@@ -485,33 +485,28 @@ def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
                slack: float = 1e-3) -> ISSCheckReport:
     """Check margins RHS - LHS of an ISS envelope at every stored time.
 
-    Pass iff the minimum margin is >= -slack * max(RHS) for every epsilon.
+    One row of RHS per epsilon (one row, epsilon nan, for an envelope that does
+    not depend on it).  Pass iff the minimum margin is >= -slack * max(RHS) in
+    every row.
     """
     if isinstance(envelope, GainReport):
         envelope = IssEnvelope.from_gain_report(envelope)
     envelope.validate()
     _require_iss_settings(epsilons if envelope.epsilon_dependent else (), slack)
-    norm0 = traj.norms[0]
     maxd = _running_max_abs(traj.disturbance, traj.times, envelope.max_window)
     decay = np.exp(-envelope.decay_rate * traj.times)
 
-    eps_list = tuple(epsilons) if envelope.epsilon_dependent else (math.nan,)
-    min_margins, argmins, eps_pass = [], [], []
-    worst_violation = 0.0
-    for eps in eps_list:
-        if envelope.epsilon_dependent:
-            over = envelope.overshoot_base * math.sqrt(1.0 + eps)
-            gain = envelope.gain_base * math.sqrt(1.0 + 1.0 / eps)
-        else:
-            over, gain = envelope.overshoot_base, envelope.gain_base
-        rhs = over * decay * norm0 + gain * maxd
-        margin = rhs - traj.norms
-        scale = float(np.max(rhs))
-        i_min = int(np.argmin(margin))
-        min_margins.append(float(margin[i_min]))
-        argmins.append(float(traj.times[i_min]))
-        violation = max(0.0, -float(margin[i_min])) / max(scale, 1e-300)
-        worst_violation = max(worst_violation, violation)
-        eps_pass.append(bool(margin[i_min] >= -slack * scale))
-    return ISSCheckReport(tuple(eps_list), tuple(min_margins), tuple(argmins),
-                          tuple(eps_pass), worst_violation, slack, all(eps_pass))
+    eps = np.array(epsilons if envelope.epsilon_dependent else [math.nan], dtype=float)[:, None]
+    over, gain = envelope.overshoot_base, envelope.gain_base
+    if envelope.epsilon_dependent:
+        over, gain = over * np.sqrt(1.0 + eps), gain * np.sqrt(1.0 + 1.0 / eps)
+    rhs = np.atleast_2d(over * decay * traj.norms[0] + gain * maxd)     # (n_eps, n_times)
+    margin = rhs - traj.norms
+    scale = np.max(rhs, axis=1)
+    i_min = np.argmin(margin, axis=1)
+    worst = np.min(margin, axis=1)
+    passed = worst >= -slack * scale
+    violation = np.maximum(-worst, 0.0) / np.maximum(scale, 1e-300)
+    return ISSCheckReport(tuple(eps[:, 0].tolist()), tuple(worst.tolist()),
+                          tuple(traj.times[i_min].tolist()), tuple(passed.tolist()),
+                          float(np.max(violation, initial=0.0)), slack, bool(np.all(passed)))

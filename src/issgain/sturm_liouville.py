@@ -130,13 +130,16 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     derivatives_at_0: np.ndarray
-    values_at_0: np.ndarray
     grid: np.ndarray
     hypothesis: HypothesisReport | None = None
 
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def values_at_0(self) -> np.ndarray:
+        return self.eigenfunctions[:, 0]
 
     def phi(self, n: int) -> GridFunction:
         """Eigenfunction ``n`` (1-based) as a grid function."""
@@ -277,10 +280,9 @@ def solve_spectrum(problem: SLProblem, n_modes: int) -> Spectrum:
     sign[sign == 0.0] = 1.0
     phi *= sign[:, None]
     d0 *= sign
-    v0 = phi[:, 0]
 
     order = np.argsort(lam)
-    spectrum = Spectrum(lam[order], phi[order], d0[order], v0[order], problem.grid.copy())
+    spectrum = Spectrum(lam[order], phi[order], d0[order], problem.grid.copy())
     report = check_hypothesis_H(spectrum, problem) if n_modes >= HYPOTHESIS_MIN_MODES else None
     return replace(spectrum, hypothesis=report)
 

@@ -44,8 +44,7 @@ def analytic_transport_spectrum(case: TransportCase, n_modes: int,
     grid = uniform_grid(resolution)
     phi = amp[:, None] * np.sin(omega[:, None] * grid[None, :])
     spectrum = Spectrum(eigenvalues=lam, eigenfunctions=phi,
-                        derivatives_at_0=amp * omega,
-                        values_at_0=np.zeros_like(lam), grid=grid)
+                        derivatives_at_0=amp * omega, grid=grid)
     if n_modes < 10:
         return spectrum
     problem = transport_problem(case.D, case.v, case.k, case.a, resolution=resolution)

@@ -356,7 +356,7 @@ class TestClosedLoop:
         grid = uniform_grid(m)
         y0 = GridFunction(grid, np.sin(math.pi * grid))
         result = simulate_closed_loop(cfg, y0, 1e-3, 0.2, n_store=8)
-        assert np.max(np.abs(result.control)) == 0.0
+        assert np.max(np.abs(result.y.extras["control"])) == 0.0
         expected = result.y.norms[0] * np.exp(-math.pi ** 2 * result.y.times)
         assert np.max(np.abs(result.y.norms - expected) / expected) < 5e-4
 
@@ -440,7 +440,7 @@ class TestClosedLoop:
         # the folded step 2 B^{-1} y - y rounds differently from the oracle's
         # B^{-1} (I + hA) y; both feed the same Sherman-Morrison correction
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
-        assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
+        assert np.max(np.abs(result.y.extras["control"] - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 
     @pytest.mark.parametrize("n_steps", [1, CN_BLOCK - 1, CN_BLOCK, CN_BLOCK + 1])
     @pytest.mark.parametrize("n_store", [1, 1000])
@@ -457,7 +457,7 @@ class TestClosedLoop:
         rows, uvals = closed_loop_step_oracle(cfg, y0, dt, n_steps * dt, kernel, n_store)
         assert rows.shape[0] == min(n_store, n_steps) + 1
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
-        assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
+        assert np.max(np.abs(result.y.extras["control"] - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 
     @pytest.mark.parametrize("p, dt, T", [(50.0, 1e-2, 1.0), (200.0, 1e-3, 0.3)])
     def test_unstable_plant_matches_standalone_step_loop(self, p, dt, T):
@@ -474,7 +474,7 @@ class TestClosedLoop:
                                       inverse_kernel=inverse, n_store=40)
         rows, uvals = closed_loop_step_oracle(cfg, y0, dt, T, kernel, 40)
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
-        assert np.max(np.abs(result.control - uvals)) <= 1e-12 * np.max(np.abs(uvals))
+        assert np.max(np.abs(result.y.extras["control"] - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 
     def test_incompatible_initial_state(self):
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=DisturbanceSignal.constant(1.0))

@@ -370,6 +370,18 @@ class TestSimulateCommand:
         assert "y0(0) =" not in capsys.readouterr().err
         assert code == 0
 
+    def test_closed_loop_kernel_pair_that_does_not_invert_exit_two(self, tmp_path, capsys):
+        # at lam_bar = 200 and M = 256, (I+K)(I+L)x0 misses x0 by 6e-2: u would be 0.3 off
+        out, kern = tmp_path / "cl.csv", tmp_path / "kernel.csv"
+        assert main(["simulate", "--solver", "closed-loop", "--plant-p", "200", "--T", "0.2",
+                     "--output", str(out), "--kernel-output", str(kern), "--verify-iss",
+                     "--iss-output", str(tmp_path / "iss.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the kernel pair at lam_bar = 200 does not "
+                              "invert at resolution 256: max|(I+K)(I+L)x0 - x0| = 0.06")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_closed_loop_solves_each_kernel_once(self, tmp_path, monkeypatch):
         calls = {"solve_kernel": 0, "solve_inverse_kernel": 0}
         for name in calls:
@@ -487,6 +499,18 @@ class TestSimulateCommand:
                 assert main(["simulate", "--solver", solver, "--output", str(out)]) == 0
             norms[solver] = float(read(out)[-1].split(",")[1])
         assert norms["lifted"] == pytest.approx(norms["fd"], rel=1e-5)
+
+    def test_uncertified_verify_iss_writes_nothing(self, tmp_path, capsys):
+        # the envelope is settled before the solve, so its certificate fails first
+        cfg, out = tmp_path / "y.cfg", tmp_path / "t.csv"
+        cfg.write_text(CONFIG_FORM_Y)
+        assert main(["simulate", "--solver", "fd", "--config", str(cfg), "--T", "0.2",
+                     "--output", str(out), "--verify-iss",
+                     "--iss-output", str(tmp_path / "iss.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uncertified hypothesis: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["y.cfg"]
 
     def test_verify_iss_fd(self, tmp_path):
         traj, iss = tmp_path / "t.csv", tmp_path / "i.csv"
@@ -637,6 +661,23 @@ class TestRejectedInputs:
         assert captured.err == f"config error: --N must be at least 1, got {n}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--solver", "advection", "--config", "missing.cfg"], "--config"),
+        (["--solver", "advection", "--case", "transport"], "--case"),
+        (["--solver", "closed-loop", "--case", "backstepping"], "--case"),
+        (["--solver", "closed-loop", "--q", "2"], "--q"),
+        (["--solver", "fd", "--kernel-output", "kernel.csv"], "--kernel-output"),
+        (["--solver", "advection", "--kernel-output", "kernel.csv"], "--kernel-output"),
+        (["--solver", "spectral", "--weight-D", "2"], "--weight-D"),
+        (["--solver", "closed-loop", "--weight-D", "2"], "--weight-D"),
+    ])
+    def test_input_the_solver_does_not_read(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", *argv, "--output", "out.csv"]) == 3
+        solver = argv[1]
+        assert capsys.readouterr().err == f"config error: --solver {solver} does not read {flag}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_step_count_overflow(self, tmp_path, capsys):
         assert main(["simulate", "--solver", "fd", "--dt", "1e-320",
                      "--output", str(tmp_path / "out.csv")]) == 3
@@ -661,6 +702,20 @@ class TestConfigValues:
         assert err.startswith(f"config error: key {key!r}:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, kind, key", [
+        (CONFIG_OK + "c = 5\n", "transport", "c"),
+        (CONFIG_NEGATIVE_POTENTIAL + "D = 2\n", "constant", "D"),
+        (CONFIG_NEGATIVE_POTENTIAL + "form = y\n", "constant", "form"),
+        (CONFIG_OK + "b2 = 1\n", "transport", "b2"),
+    ])
+    def test_key_the_kind_does_not_read(self, tmp_path, capsys, text, kind, key):
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(text)
+        assert main(["gain", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: kind {kind} does not read key {key!r}\n"
+        assert captured.out == ""
 
     def test_infinite_exit_parameter_spellings(self, tmp_path):
         for spelling in ("inf", "+inf", "infinity", "Infinity"):
@@ -790,6 +845,37 @@ def test_unallocatable_eigenbasis_is_a_config_error(monkeypatch, tmp_path, capsy
     assert err.endswith(" arrays cannot be allocated; lower the resolution\n")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["spectrum"], "solve_spectrum"),
+    (["simulate", "--solver", "spectral"], "solve_spectrum"),
+    (["simulate", "--solver", "closed-loop"], "solve_kernel"),
+    (["simulate", "--solver", "advection"], "advection_exact"),
+    (["sweep-fig1", "--points", "5"], "sweep_figure1"),
+    (["simulate", "--solver", "spectral", "--store", "5"], "simulate_spectral"),
+])
+def test_out_of_memory_is_a_config_error(monkeypatch, tmp_path, capsys, argv, target):
+    # a resolution, --points or --store too large for memory fails in these calls; here
+    # each call raises as numpy would, at a small input, so nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20001, 20001) "
+                          "and data type float64")
+    monkeypatch.setattr(issgain.cli, target, out_of_memory)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: out of memory: Unable to allocate 2.98 GiB for an array with shape "
+        "(20001, 20001) and data type float64\n")
+    assert not out.exists()
+
+
+def test_bare_memory_error_prints_one_line(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(issgain.cli, "sweep_figure1", out_of_memory)
+    assert main(["sweep-fig1"]) == 3
+    assert capsys.readouterr().err == "config error: out of memory\n"
 
 
 def test_main_keeps_warnings_recordable_and_restores_format(tmp_path):

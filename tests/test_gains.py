@@ -220,9 +220,11 @@ class TestGenericRoutes:
         assert r2 == pytest.approx(r1, rel=1e-12)
 
     def test_report_envelope_fields(self):
-        rep = backstepping_gain(1.0, 1.0, epsilon=0.25)
-        assert rep.iss_overshoot == pytest.approx(math.sqrt(1.25), rel=1e-14)
-        assert rep.iss_gain == pytest.approx(rep.gain_C * math.sqrt(5.0), rel=1e-14)
+        # every route reports the envelope at its one epsilon, 1
+        rep = backstepping_gain(1.0, 1.0)
+        assert rep.epsilon == 1.0
+        assert rep.iss_overshoot == math.sqrt(2.0)
+        assert rep.iss_gain == rep.gain_C * math.sqrt(2.0)
         block = kv_block(rep)
         assert "gain_C = " in block and "route = closed_form" in block
 

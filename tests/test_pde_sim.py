@@ -1073,3 +1073,36 @@ class TestVerifyIss:
         good = IssEnvelope(decay_rate=1.0, gain_base=1.0)
         with pytest.raises(ValueError):
             verify_iss(traj, good, epsilons=(0.0, 1.0))
+
+    @pytest.mark.parametrize("envelope, epsilons", [
+        (IssEnvelope(decay_rate=9.8, gain_base=0.3), (0.1, 1.0, 10.0)),
+        (IssEnvelope(decay_rate=2.0, gain_base=0.05, overshoot_base=1.7), (1e-3, 0.5, 1e3)),
+        (IssEnvelope(decay_rate=1.0, gain_base=0.2, epsilon_dependent=False, max_window=0.5),
+         (0.1, 1.0)),
+    ])
+    def test_one_pass_matches_a_loop_over_epsilon(self, laplacian_problem, envelope,
+                                                  epsilons):
+        # the reference: the envelope's right-hand side built and checked one epsilon at a
+        # time, in the same arithmetic, so every reported number is equal
+        d = DisturbanceSignal.sinusoid(1.0, 3.0)
+        x0 = GridFunction(laplacian_problem.grid, 0.4 * np.sin(math.pi * laplacian_problem.grid))
+        traj = simulate_fd(laplacian_problem, d, x0, 1e-3, 1.0, n_store=40)
+        report = verify_iss(traj, envelope, epsilons=epsilons, slack=1e-3)
+        maxd = pde_sim._running_max_abs(d, traj.times, envelope.max_window)
+        decay = np.exp(-envelope.decay_rate * traj.times)
+        rows = []
+        for eps in (epsilons if envelope.epsilon_dependent else (math.nan,)):
+            over, gain = envelope.overshoot_base, envelope.gain_base
+            if envelope.epsilon_dependent:
+                over, gain = over * math.sqrt(1.0 + eps), gain * math.sqrt(1.0 + 1.0 / eps)
+            rhs = over * decay * traj.norms[0] + gain * maxd
+            margin = rhs - traj.norms
+            i = int(np.argmin(margin))
+            rows.append((eps, margin[i], traj.times[i], margin[i] >= -1e-3 * np.max(rhs),
+                         max(0.0, -margin[i]) / np.max(rhs)))
+        eps_col, margins, times, passes, violations = zip(*rows)
+        assert np.array_equal(report.epsilons, eps_col, equal_nan=True)
+        assert report.min_margins == margins and report.argmin_times == times
+        assert report.per_epsilon_pass == passes and report.passed == all(passes)
+        assert report.worst_relative_violation == max(violations)
+        assert not report.passed      # gains below 1/sqrt(3): the violations are compared too

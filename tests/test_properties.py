@@ -55,11 +55,10 @@ def test_gain_monotone_in_exit_parameter(zeta):
     assert all(x > y for x, y in zip(values, values[1:]))
 
 
-@given(c=st.floats(min_value=0.0, max_value=30.0),
-       eps=st.floats(min_value=1e-3, max_value=1e3))
+@given(c=st.floats(min_value=0.0, max_value=30.0))
 @settings(max_examples=60, deadline=None)
-def test_iss_gain_lower_bound(c, eps):
-    report = backstepping_gain(c, 1.0, N=500, epsilon=eps)
+def test_iss_gain_lower_bound(c):
+    report = backstepping_gain(c, 1.0, N=500)
     assert report.iss_gain * report.boundary_norm >= report.gain_C
 
 
