@@ -54,12 +54,15 @@ GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg
         "--case transport --D 0", "--case transport --v -1", "--case backstepping --c -1",
         "--case transport --zeta 1e6 --a 1", "--case transport --zeta 128 --a inf",
         "--config ../robin-inlet.cfg", "--config ../robin-both.cfg",
-        "--case transport --k nan", "--case transport --v 1e200"]
+        "--case transport --k nan", "--case transport --v 1e200",
+        "--case dirichlet-laplacian --v 5 --a 1", "--case transport --zeta 1 --v 7 --k 3",
+        "--config ../x.cfg --zeta 3"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
             "--case backstepping --c 2 --D 0.5 --modes 16", "--modes 8",
             *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"],
             "--case transport --a -1", "--case transport --zeta nan", "--case transport --k -5",
-            "--case transport --D -1", "--case backstepping --c inf"]
+            "--case transport --D -1", "--case backstepping --c inf",
+            "--case backstepping --c 1 --zeta 9"]
 SWEEP = ["--advection-form legacy --output fig1.csv"]
 SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             f"fd --config ../robin-inlet.cfg --x0 steady {ISS}",

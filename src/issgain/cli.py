@@ -61,11 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_problem_args(p):
         p.add_argument("--case", choices=["dirichlet-laplacian", "transport", "backstepping"])
         p.add_argument("--config", help="path to a key/value config file")
-        p.add_argument("--D", type=float, default=1.0)
-        p.add_argument("--v", type=float, default=1.0)
-        p.add_argument("--k", type=float, default=0.0)
-        p.add_argument("--a", default="inf", help="exit parameter, number or 'inf'")
-        p.add_argument("--c", type=float, default=0.0, help="target coefficient")
+        # None when not given: a flag that the problem would not read is rejected
+        p.add_argument("--D", type=float, help="diffusivity (default 1)")
+        p.add_argument("--v", type=float, help="velocity (default 1)")
+        p.add_argument("--k", type=float, help="reaction rate (default 0)")
+        p.add_argument("--a", help="exit parameter, number or 'inf' (the default)")
+        p.add_argument("--c", type=float, help="target coefficient (default 0)")
         p.add_argument("--zeta", type=float, help="directly sets zeta (transport, k=0)")
         p.add_argument("--q", type=float, help="constant potential override")
         p.add_argument("--resolution", type=int, default=256)
@@ -104,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ramp", type=float, default=0.5)
     p_sim.add_argument("--x0", choices=["zero", "steady", "lift", "sine"], default="zero")
     p_sim.add_argument("--plant-p", type=float, default=3.0, help="plant rate (closed loop)")
-    p_sim.add_argument("--weight-D", type=float, help="norm weight e^{-vz/D} (advection)")
     p_sim.add_argument("--wide", action="store_true", help="append grid samples to rows")
     p_sim.add_argument("--output", default="-")
     p_sim.add_argument("--kernel-output", help="export the feedback kernel CSV (closed loop)")
@@ -125,19 +125,46 @@ def _parse_a(value) -> float:
     return a
 
 
+_CASE_DEFAULTS = {"D": 1.0, "v": 1.0, "k": 0.0, "a": "inf", "c": 0.0}
+# the one case that reads each flag; --D is read by every case
+_READ_BY_CASE = {"v": "transport", "k": "transport", "a": "transport", "zeta": "transport",
+                 "c": "backstepping"}
+
+
+def _case_flag(args, name: str):
+    """A named-case flag as given, else its default."""
+    value = getattr(args, name)
+    return _CASE_DEFAULTS[name] if value is None else value
+
+
+def _require_read_case_flags(args):
+    """Reject a named-case flag that the config or the named case would not read."""
+    case = args.case or "dirichlet-laplacian"
+    for name in ("D", *_READ_BY_CASE):
+        if getattr(args, name) is None:
+            continue
+        if args.config:
+            raise ConfigError(f"--config does not read --{name}")
+        if _READ_BY_CASE.get(name, case) != case:
+            raise ConfigError(f"--case {case} does not read --{name}")
+        if name in ("v", "k") and args.zeta is not None:
+            raise ConfigError(f"--case transport with --zeta does not read --{name}")
+
+
 def _named_case(args) -> TransportCase:
     """The one reading of ``--case``: every named problem is a transport tube."""
-    case = args.case or "dirichlet-laplacian"
+    case, D = args.case or "dirichlet-laplacian", _case_flag(args, "D")
     if case == "transport":
-        a = _parse_a(args.a)
+        a = _parse_a(_case_flag(args, "a"))
         if args.zeta is not None:
-            return TransportCase.from_zeta(args.zeta, a, args.D)
-        return TransportCase(args.D, args.v, args.k, a)
-    return TransportCase.from_target(args.c if case == "backstepping" else 0.0, args.D)
+            return TransportCase.from_zeta(args.zeta, a, D)
+        return TransportCase(D, _case_flag(args, "v"), _case_flag(args, "k"), a)
+    return TransportCase.from_target(_case_flag(args, "c") if case == "backstepping" else 0.0, D)
 
 
 def _problem_from_args(args):
     """The problem and its named case; the case is None for --config or a --q override."""
+    _require_read_case_flags(args)
     if args.config:
         problem, case = problem_from_config(load_config(args.config)), None
     else:
@@ -233,7 +260,7 @@ def cmd_sweep(args) -> int:
 
 _PROBLEM_SOLVERS = ("fd", "spectral", "lifted")
 _READ_BY = {"--case": _PROBLEM_SOLVERS, "--config": _PROBLEM_SOLVERS, "--q": _PROBLEM_SOLVERS,
-            "--kernel-output": ("closed-loop",), "--weight-D": ("advection",)}
+            "--kernel-output": ("closed-loop",)}
 # a kernel pair is usable when max|(I+K)(I+L)x0 - x0| <= ROUNDTRIP_BOUND max|x0|; at M = 256 the
 # round trip is 1.6e-4 at p = 100, where u is 9.7e-4 of max|u| off a run at M = 1024
 ROUNDTRIP_BOUND = 1e-4
@@ -251,16 +278,16 @@ def cmd_simulate(args) -> int:
     d = _signal_from_args(args)
     envelope = None          # each branch builds it before its solve
     if args.solver == "advection":
-        for flag, value in (("--v", args.v), ("--D", args.D), ("--weight-D", args.weight_D)):
-            if value is not None and not (math.isfinite(value) and value > 0):
+        v, k, D = (_case_flag(args, name) for name in ("v", "k", "D"))
+        for flag, value in (("--v", v), ("--D", D)):
+            if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{flag} must be finite and positive for the advection "
                                   f"solver, got {value}")
-        if not math.isfinite(args.k):
-            raise ConfigError(f"--k must be finite for the advection solver, got {args.k}")
-        v, k, d_ref = args.v, args.k, args.D if args.weight_D is None else args.weight_D
+        if not math.isfinite(k):
+            raise ConfigError(f"--k must be finite for the advection solver, got {k}")
         if args.verify_iss:
-            envelope = IssEnvelope(decay_rate=k + v * v / (2.0 * d_ref),
-                                   gain_base=advection_gain(v, d_ref, k),
+            envelope = IssEnvelope(decay_rate=k + v * v / (2.0 * D),
+                                   gain_base=advection_gain(v, D, k),
                                    epsilon_dependent=False, max_window=1.0 / v)
             if not (math.isfinite(envelope.decay_rate) and math.isfinite(envelope.gain_base)):
                 raise ConfigError(f"--v {v} overflows the advection envelope (decay rate "
@@ -272,9 +299,10 @@ def cmd_simulate(args) -> int:
         k_over_v = k / v
         y0 = lambda z: d0 * np.exp(-k_over_v * np.asarray(z))
         traj = advection_exact(v, k, d, y0, args.T, resolution=args.resolution,
-                               weight_D=d_ref, n_store=args.store)
+                               weight_D=D, n_store=args.store)
     elif args.solver == "closed-loop":
-        cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c, d=d)
+        D, c = _case_flag(args, "D"), _case_flag(args, "c")
+        cfg = ClosedLoopConfig(D=D, p=args.plant_p, c=c, d=d)
         kernel = solve_kernel(cfg, args.resolution)
         inverse = solve_inverse_kernel(cfg, args.resolution)
         if args.verify_iss:

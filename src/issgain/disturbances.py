@@ -1,11 +1,11 @@
 """Boundary disturbance signals d(t) with their first derivative.
 
 Classical solutions need d twice continuously differentiable; every kind
-carries evaluators for d and d' and their exponential convolutions.  A
-sinusoid has closed forms.  Every other kind (constant, smoothed step,
-tabulated) is one piecewise polynomial, whose convolutions are summed
-exactly piece by piece.  Tabulated signals are cubic-spline interpolants and
-only piecewise C2; constructing one emits a :class:`SmoothnessWarning`.
+carries evaluators for d and d' and their exponential convolutions, exact
+through the moments J_k: a sinusoid by J_0 at the complex rate lam + i omega,
+every other kind (constant, smoothed step, tabulated) as one piecewise
+polynomial, piece by piece.  Tabulated signals are cubic-spline interpolants
+and only piecewise C2; constructing one emits a :class:`SmoothnessWarning`.
 """
 from __future__ import annotations
 
@@ -132,20 +132,16 @@ class DisturbanceSignal:
         if self.kind != "sinusoid":
             out = self._piecewise_convolution(lam, t0, t1, derivative)
             return float(out) if out.ndim == 0 else out
-        # interval ends on a leading axis, broadcast against the modes
+        # interval ends on a leading axis, broadcast against the modes.  A sin(om s + ph)
+        # = Im A e^{i(om s + ph)} convolves to Im A e^{i(om t1 + ph)} J_0(lam + i om, t1 - t0),
+        # and d' is the same with amplitude i om A
         start, end = (np.reshape(t, np.shape(t) + (1,) * lam.ndim) for t in (t0, t1))
-        om, amp, ph, offset = self.frequency, self.amplitude, self.phase, self.offset
-        if derivative:                  # d' = amp om sin(om s + ph + pi/2)
-            amp, ph, offset = amp * om, ph + math.pi / 2.0, 0.0
-        j0 = _j_moments(lam, end - start, 0)[0]
-        if om == 0.0:
-            out = offset * j0 + amp * math.sin(ph) * j0
-        else:
-            den = lam * lam + om * om
-            def antider(s, w):  # e^{-lam (t1-s)} (lam sin - om cos)(om s + ph)/den
-                return w * (lam * np.sin(om * s + ph) - om * np.cos(om * s + ph)) / den
-            out = offset * j0 + amp * (antider(end, 1.0)
-                                       - antider(start, np.exp(-lam * (end - start))))
+        om, amp, offset = self.frequency, self.amplitude, self.offset
+        if derivative:
+            amp, offset = 1j * om * amp, 0.0
+        turn = amp * np.exp(1j * (om * end + self.phase))
+        out = (offset * _j_moments(lam, end - start, 0)[0]
+               + (turn * _j_moments(lam + 1j * om, end - start, 0)[0]).imag)
         return float(out) if out.ndim == 0 else out
 
     def _piecewise_convolution(self, lam, t0, t1, derivative: bool):
@@ -193,20 +189,20 @@ def _j_moments(lam, delta, kmax: int) -> np.ndarray:
     """J_k = integral_0^delta e^{-lam (delta - s)} s^k ds for k = 0..kmax <= 5.
 
     ``lam`` and ``delta`` broadcast against each other; the result has shape
-    ``(kmax + 1,) + broadcast shape``.  For |lam delta| < 1 every moment is
+    ``(kmax + 1,) + broadcast shape`` and the dtype of lam delta, so a complex
+    rate gives complex moments.  For |lam delta| < 1 every moment is
     summed from J_k = delta^{k+1} sum_m (-lam delta)^m k!/(k+m+1)!, which is
     exact at lam = 0.  Powers of delta are running products, so a moment does
     not depend on how many share a call.
     """
-    lam, delta = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                     np.asarray(delta, dtype=float))
+    lam, delta = np.broadcast_arrays(np.asarray(lam), np.asarray(delta, dtype=float))
     x = lam * delta
-    j = np.empty((kmax + 1,) + x.shape)
+    j = np.empty((kmax + 1,) + x.shape, dtype=x.dtype)
     # from |lam delta| = 1 up, the recurrence J_k = (delta^k - k J_{k-1}) / lam is
     # good to about 1e-13 for k <= 5; below, it cancels like (lam delta)^-k
     small = np.abs(x) < 1.0
     xs, ds = x[small], delta[small]
-    acc = np.zeros((kmax + 1, xs.size))
+    acc = np.zeros((kmax + 1, xs.size), dtype=x.dtype)
     for coef in _SERIES_COEFS[:kmax + 1, ::-1].T:   # Horner in -x
         acc = acc * -xs + coef[:, None]
     power = np.ones_like(ds)

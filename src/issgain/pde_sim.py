@@ -333,11 +333,11 @@ def _lifted_modal(problem: SLProblem, spectrum: Spectrum, d: DisturbanceSignal,
     x = sum c_n phi_n + (d/s)(g - P_N g), P_N the projection onto the first N modes.
     An incompatible x0 is projected along the cubic, as in ``simulate_fd``.
     """
+    times = _store_times(T, n_store)     # before the projection: a rejected run warns of nothing
     x0 = _check_compatibility(problem, x0, d, stacklevel=4)    # warn at the route's caller
     if N < 1 or N > spectrum.n_modes:
         raise ValueError("need 1 <= N <= number of computed modes")
     require_same_grid(x0, problem.grid)
-    times = _store_times(T, n_store)
     s = problem.boundary_norm
     g_coeffs = fourier_coefficients(GridFunction(problem.grid, g), spectrum, problem)
     a_coeffs = fourier_coefficients(GridFunction(problem.grid, image), spectrum, problem)
@@ -492,6 +492,8 @@ def verify_iss(traj: Trajectory, envelope, epsilons=(0.1, 1.0, 10.0),
     if isinstance(envelope, GainReport):
         envelope = IssEnvelope.from_gain_report(envelope)
     envelope.validate()
+    if envelope.epsilon_dependent and len(epsilons) == 0:
+        raise ValueError("an epsilon-dependent envelope needs at least one epsilon")
     _require_iss_settings(epsilons if envelope.epsilon_dependent else (), slack)
     maxd = _running_max_abs(traj.disturbance, traj.times, envelope.max_window)
     decay = np.exp(-envelope.decay_rate * traj.times)

@@ -529,8 +529,6 @@ class TestRejectedInputs:
         ["simulate", "--solver", "lifted", "--store", "-3"],
         ["simulate", "--solver", "advection", "--v", "0"],
         ["simulate", "--solver", "advection", "--D", "0", "--v", "1", "--verify-iss"],
-        ["simulate", "--solver", "advection", "--weight-D", "0"],
-        ["simulate", "--solver", "advection", "--weight-D", "nan"],
         ["sweep-fig1", "--points", "0"],
         ["sweep-fig1", "--zeta-min", "nan"],
         ["sweep-fig1", "--zeta-max", "inf"],
@@ -580,6 +578,54 @@ class TestRejectedInputs:
             assert captured.err == f"config error: {message}\n"
             assert captured.out == ""
             assert not out.exists()
+
+    @staticmethod
+    def assert_unread_flag(tmp_path, monkeypatch, capsys, args, message):
+        # each command that reads a named case rejects the flag before any solve or file
+        (tmp_path / "x.cfg").write_text(CONFIG_OK)
+        monkeypatch.chdir(tmp_path)
+        for command in ("spectrum", "gain", "simulate --solver fd",
+                        "simulate --solver spectral", "simulate --solver lifted"):
+            argv = [*command.split(), *args.split()]
+            assert main(argv if command == "gain" else [*argv, "--output", "out.csv"]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {message}\n"
+            assert captured.out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
+
+    @pytest.mark.parametrize("args, message", [
+        ("--case dirichlet-laplacian --v 5 --a 1", "--case dirichlet-laplacian does not read --v"),
+        ("--k 3", "--case dirichlet-laplacian does not read --k"),
+        ("--case backstepping --c 1 --zeta 9", "--case backstepping does not read --zeta"),
+        ("--case backstepping --a 1", "--case backstepping does not read --a"),
+    ])
+    def test_transport_flag_without_transport_case(self, tmp_path, monkeypatch, capsys,
+                                                   args, message):
+        self.assert_unread_flag(tmp_path, monkeypatch, capsys, args, message)
+
+    @pytest.mark.parametrize("args, message", [
+        ("--case transport --zeta 1 --c 2", "--case transport does not read --c"),
+        ("--c 1", "--case dirichlet-laplacian does not read --c"),
+    ])
+    def test_target_flag_without_backstepping_case(self, tmp_path, monkeypatch, capsys,
+                                                   args, message):
+        self.assert_unread_flag(tmp_path, monkeypatch, capsys, args, message)
+
+    @pytest.mark.parametrize("args, message", [
+        ("--case transport --zeta 1 --v 7 --k 3",
+         "--case transport with --zeta does not read --v"),
+        ("--case transport --k 3 --zeta 1", "--case transport with --zeta does not read --k"),
+    ])
+    def test_velocity_or_rate_with_zeta(self, tmp_path, monkeypatch, capsys, args, message):
+        self.assert_unread_flag(tmp_path, monkeypatch, capsys, args, message)
+
+    @pytest.mark.parametrize("args, message", [
+        ("--config x.cfg --zeta 3", "--config does not read --zeta"),
+        ("--config x.cfg --D 2", "--config does not read --D"),
+        ("--config x.cfg --q 2 --c 1", "--config does not read --c"),
+    ])
+    def test_named_case_flag_with_config(self, tmp_path, monkeypatch, capsys, args, message):
+        self.assert_unread_flag(tmp_path, monkeypatch, capsys, args, message)
 
     @pytest.mark.parametrize("args", ["--c -1", "--c inf", "--D 0", "--D nan",
                                       "--c 1e308 --D 1e-300"])
@@ -668,8 +714,6 @@ class TestRejectedInputs:
         (["--solver", "closed-loop", "--q", "2"], "--q"),
         (["--solver", "fd", "--kernel-output", "kernel.csv"], "--kernel-output"),
         (["--solver", "advection", "--kernel-output", "kernel.csv"], "--kernel-output"),
-        (["--solver", "spectral", "--weight-D", "2"], "--weight-D"),
-        (["--solver", "closed-loop", "--weight-D", "2"], "--weight-D"),
     ])
     def test_input_the_solver_does_not_read(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
@@ -844,6 +888,24 @@ def test_unallocatable_eigenbasis_is_a_config_error(monkeypatch, tmp_path, capsy
                           "eigenbasis: its ")
     assert err.endswith(" arrays cannot be allocated; lower the resolution\n")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["spectral", "lifted"])
+def test_unallocatable_store_times_print_one_line(tmp_path, solver):
+    # --store 1e9 fails in _store_times; it is patched to raise, so nothing is allocated.
+    # The times come before the projection of the incompatible x0, so no warning precedes
+    # the error; a subprocess, because pytest would capture the warning
+    out = tmp_path / "t.csv"
+    proc = run_python("import sys, issgain.pde_sim\n"
+                      "def out_of_memory(*args, **kwargs):\n"
+                      "    raise MemoryError\n"
+                      "issgain.pde_sim._store_times = out_of_memory\n"
+                      "from issgain.cli import main\n"
+                      "sys.exit(main(sys.argv[1:]))",
+                      "simulate", "--solver", solver, "--output", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == "config error: out of memory\n"
     assert not out.exists()
 
 

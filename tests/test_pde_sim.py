@@ -268,6 +268,34 @@ class TestDisturbanceSignal:
                         0.5, 0.52, epsabs=1e-15, epsrel=1e-13)
         assert d.exp_convolution(lam, 0.5, 0.52) == pytest.approx(exact, abs=1e-15)
 
+    @pytest.mark.parametrize("lam, omega, delta", [(1e-8, 1e-9, 1e-3), (1e-8, 1e-6, 1e-3),
+                                                   (1e-4, 1e-3, 1e-3)])
+    def test_slow_sinusoid_convolution_oracle(self, lam, omega, delta):
+        # a slow mode under a slow sinusoid: a real antiderivative over lam^2 + omega^2
+        # would cancel like 1e-16/(|lam + i omega| delta), 6.6e-6 relative in the first case
+        from scipy.integrate import quad
+        d = DisturbanceSignal.sinusoid(1.3, omega, 0.3)
+        t0, t1 = 0.2, 0.2 + delta
+        for method, f in ((d.exp_convolution, d.value),
+                          (d.exp_convolution_derivative, d.derivative)):
+            exact, _ = quad(lambda s: math.exp(-lam * (t1 - s)) * float(f(np.asarray(s))),
+                            t0, t1, epsabs=0.0, epsrel=2e-14)
+            assert method(lam, t0, t1) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("lam, delta", [(0.5 + 0.8j, 0.5), (0.3 + 6.0j, 0.7)])
+    def test_j_moments_at_a_complex_rate(self, lam, delta):
+        # series (|lam delta| < 1) and recurrence branches; e^{-lam u} = e^{-Re lam u}
+        # (cos - i sin)(Im lam u) splits J_k into two real integrals
+        from scipy.integrate import quad
+        got = _j_moments(lam, delta, 5)
+        assert got.dtype == complex
+        for k in range(6):
+            parts = [quad(lambda s: math.exp(-lam.real * (delta - s)) * s ** k
+                          * trig(lam.imag * (delta - s)), 0.0, delta,
+                          epsabs=0.0, epsrel=2e-14)[0] for trig in (math.cos, math.sin)]
+            assert got[k].real == pytest.approx(parts[0], rel=1e-12, abs=0.0)
+            assert got[k].imag == pytest.approx(-parts[1], rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("x", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 10.0])
     def test_j_moments_match_series(self, x):
         # the recurrence J_k = (delta^k - k J_{k-1}) / lam cancels as lam delta -> 0
@@ -1073,6 +1101,12 @@ class TestVerifyIss:
         good = IssEnvelope(decay_rate=1.0, gain_base=1.0)
         with pytest.raises(ValueError):
             verify_iss(traj, good, epsilons=(0.0, 1.0))
+        # no epsilon is no check: an envelope that no trajectory meets must not pass
+        with pytest.raises(ValueError, match="needs at least one epsilon"):
+            verify_iss(traj, IssEnvelope(decay_rate=1e3, gain_base=1e-9), epsilons=())
+        free = IssEnvelope(decay_rate=1e3, gain_base=1e-9, epsilon_dependent=False)
+        report = verify_iss(traj, free, epsilons=())     # its one row, epsilon nan
+        assert math.isnan(report.epsilons[0]) and report.per_epsilon_pass == (False,)
 
     @pytest.mark.parametrize("envelope, epsilons", [
         (IssEnvelope(decay_rate=9.8, gain_base=0.3), (0.1, 1.0, 10.0)),
