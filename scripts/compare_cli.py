@@ -56,7 +56,7 @@ GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg
         "--config ../robin-inlet.cfg", "--config ../robin-both.cfg",
         "--case transport --k nan", "--case transport --v 1e200",
         "--case dirichlet-laplacian --v 5 --a 1", "--case transport --zeta 1 --v 7 --k 3",
-        "--config ../x.cfg --zeta 3"]
+        "--config ../x.cfg --zeta 3", "--case transport --config ../x.cfg"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
             "--case backstepping --c 2 --D 0.5 --modes 16", "--modes 8",
             *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"],
@@ -89,7 +89,11 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "fd --case transport --v inf", "fd --case backstepping --c -1",
             "closed-loop --c -1", "closed-loop --D 0", "closed-loop --c 1e308 --D 1e-300",
             "closed-loop --plant-p 1e300 --D 1e-300", f"closed-loop --c 1.3 --D 0.6 {ISS}",
-            "closed-loop --plant-p 200 --output cl.csv", "advection --config ../x.cfg"]
+            "closed-loop --plant-p 200 --output cl.csv", "advection --config ../x.cfg",
+            "fd --dt 0.0078125 --T 1.125 --store 3 --output traj.csv",
+            "closed-loop --plant-p 50 --c 2 --dt 0.01 --T 0.5 --store 1000 --output cl.csv",
+            "closed-loop --zeta 3 --v 9 --T 0.01 --output cl.csv",
+            "advection --c 5 --zeta 2 --T 0.01 --output traj.csv"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 

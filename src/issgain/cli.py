@@ -139,6 +139,8 @@ def _case_flag(args, name: str):
 
 def _require_read_case_flags(args):
     """Reject a named-case flag that the config or the named case would not read."""
+    if args.config and args.case:
+        raise ConfigError("--config does not read --case")
     case = args.case or "dirichlet-laplacian"
     for name in ("D", *_READ_BY_CASE):
         if getattr(args, name) is None:
@@ -260,7 +262,9 @@ def cmd_sweep(args) -> int:
 
 _PROBLEM_SOLVERS = ("fd", "spectral", "lifted")
 _READ_BY = {"--case": _PROBLEM_SOLVERS, "--config": _PROBLEM_SOLVERS, "--q": _PROBLEM_SOLVERS,
-            "--kernel-output": ("closed-loop",)}
+            "--v": (*_PROBLEM_SOLVERS, "advection"), "--k": (*_PROBLEM_SOLVERS, "advection"),
+            "--a": _PROBLEM_SOLVERS, "--zeta": _PROBLEM_SOLVERS,
+            "--c": (*_PROBLEM_SOLVERS, "closed-loop"), "--kernel-output": ("closed-loop",)}
 # a kernel pair is usable when max|(I+K)(I+L)x0 - x0| <= ROUNDTRIP_BOUND max|x0|; at M = 256 the
 # round trip is 1.6e-4 at p = 100, where u is 9.7e-4 of max|u| off a run at M = 1024
 ROUNDTRIP_BOUND = 1e-4

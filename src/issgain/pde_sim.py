@@ -229,8 +229,10 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
     loop is phi = 0.  The run takes B steps at a time: the block's inlet values
     solve one lower-triangular Toeplitz system in h_m = sum phi rho^m gamma, whose
     inverse is formed once (its diagonal 1 + h_0 is the Sherman-Morrison
-    denominator of the implicit feedback), and the states stored in the block and
-    its last one are one product.  B is ``CN_BLOCK`` for a stable operator.  A mode
+    denominator of the implicit feedback).  Each block advances only its end state;
+    a block that holds a stored step keeps its start, its pair sums u_{j-1} + u_j and
+    its inlet values, and the stored states of all blocks are one product after the
+    loop; rho^m is a running product.  B is ``CN_BLOCK`` for a stable operator.  A mode
     with |rho| > 1 (lam < 0) makes a closed-loop state the small difference of
     terms of size max|rho|^B |c|, so B shrinks until max|rho|^B <= 4, to 1 step if
     need be.  A failed eigensolve, a zero 1 + h lam or a zero 1 + h_0 raises
@@ -262,35 +264,47 @@ def _crank_nicolson(problem: SLProblem, inlet: np.ndarray, x0: np.ndarray, dt: f
 
     top = float(np.max(np.abs(rho)))
     block = CN_BLOCK if top <= 1.0 else max(1, min(CN_BLOCK, int(math.log(4.0) / math.log(top))))
-    steps = np.arange(block + 1)
-    powers = rho ** steps[:, None]                  # rho^m, m = 0..block
+    powers = np.cumprod(np.vstack([np.ones(lam.size), np.broadcast_to(rho, (block, lam.size))]),
+                        axis=0)                     # rho^m, m = 0..block
     response = powers[:-1] * gamma                  # row m: rho^m gamma
     h = response @ phi
     if 1.0 + h[0] == 0.0:
         raise NumericalFailure(f"closed-loop inlet equation is singular at dt = {dt:.6g}")
-    lag = steps[:-1, None] - steps[None, :-1]
+    steps = np.arange(block)
+    lag = steps[:, None] - steps[None, :]
     toeplitz = np.where(lag >= 0, lag, block)       # lower-triangular; index block holds 0
     # u_j of a block carries 1 + h_0, and u_i, i < j, carries h_{j-i} + h_{j-i-1}
     solve = np.linalg.inv(np.concatenate(([1.0 + h[0]], h[1:] + h[:-1], [0.0]))[toeplitz])
 
+    # stored step s > 0 lies in block (s - 1) // block at offset 1..block; a block
+    # holding one saves its start, its pair sums v and its inlet values in one row.
+    # The last block holds the last step, so every pass has a row still to fill
+    stored_block, row = np.unique((store_at[1:] - 1) // block, return_inverse=True)
+    starts = np.empty((stored_block.size, lam.size))
+    vs = np.empty((stored_block.size, block + 1))   # u_{j-1} + u_j, j = 1..n, then 0
+    us = np.empty((stored_block.size, block))
     coeffs = np.empty((store_at.size, lam.size))
-    u_stored = inlet[store_at]
     c, u = vectors.T @ (root * x0[lo:hi + 1]), inlet[0]
-    coeffs[0] = c                                   # step 0 is always stored
-    v = np.zeros(block + 1)                         # u_{j-1} + u_j, j = 1..n, then 0
-    first, n_steps = 1, store_at[-1]
-    for start in range(0, n_steps, block):
+    coeffs[0], n_steps, saved = c, store_at[-1], 0  # step 0 is always stored
+    v = np.zeros(block + 1)                         # v[block] stays 0; v[n:] is never read
+    for b, start in enumerate(range(0, n_steps, block)):
         n = min(block, n_steps - start)
         rhs = inlet[start + 1:start + n + 1] - powers[1:n + 1] @ (phi * c) - h[:n] * u
         u_block = solve[:n, :n] @ rhs
         v[:n] = u_block
         v[1:n] += u_block[:-1]
         v[0] += u
-        last = np.searchsorted(store_at, start + n, side="right")
-        at = np.append(store_at[first:last] - start, n)   # stored offsets, then the end
-        states = powers[at] * c + v[toeplitz[at - 1]] @ response
-        coeffs[first:last], u_stored[first:last] = states[:-1], u_block[at[:-1] - 1]
-        c, u, first = states[-1], u_block[-1], last
+        if stored_block[saved] == b:
+            starts[saved], vs[saved], us[saved, :n] = c, v, u_block
+            saved += 1
+        c, u = powers[n] * c + v[toeplitz[n - 1]] @ response, u_block[-1]
+
+    offset = store_at[1:] - block * stored_block[row]
+    stored = coeffs[1:]                             # in place: one n_store x M temporary at a time
+    np.take(starts, row, axis=0, out=stored)
+    stored *= powers[offset]
+    stored += vs[row[:, None], toeplitz[offset - 1]] @ response
+    u_stored = np.append(inlet[0], us[row, offset - 1])
     return _on_grid(problem, coeffs @ w.T, u_stored, lo), u_stored
 
 

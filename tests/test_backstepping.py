@@ -442,10 +442,11 @@ class TestClosedLoop:
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
         assert np.max(np.abs(result.y.extras["control"] - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 
-    @pytest.mark.parametrize("n_steps", [1, CN_BLOCK - 1, CN_BLOCK, CN_BLOCK + 1])
-    @pytest.mark.parametrize("n_store", [1, 1000])
+    @pytest.mark.parametrize("n_steps", [1, CN_BLOCK - 1, CN_BLOCK, CN_BLOCK + 1, 3 * CN_BLOCK])
+    @pytest.mark.parametrize("n_store", [1, 3, 1000])
     def test_block_boundaries_match_standalone_step_loop(self, n_steps, n_store):
-        # the modal run's blocks end, and restart the feedback solve, between these steps
+        # the modal run's blocks end, and restart the feedback solve, between these
+        # steps; three blocks stored three times are stored at each block's end
         d = DisturbanceSignal.sinusoid(1.0, 2.0, 0.7)
         cfg = ClosedLoopConfig(D=1.0, p=3.0, c=1.0, d=d)
         kernel = solve_kernel(cfg, 64)
@@ -459,20 +460,22 @@ class TestClosedLoop:
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
         assert np.max(np.abs(result.y.extras["control"] - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 
+    @pytest.mark.parametrize("n_store", [40, 1000])
     @pytest.mark.parametrize("p, dt, T", [(50.0, 1e-2, 1.0), (200.0, 1e-3, 0.3)])
-    def test_unstable_plant_matches_standalone_step_loop(self, p, dt, T):
+    def test_unstable_plant_matches_standalone_step_loop(self, p, dt, T, n_store):
         # p > D pi^2: the plant's first modes grow, |rho| reaches 1.5 (p = 50) and 1.2
         # (p = 200) per step, and the feedback alone makes the loop decay; a block of
         # 48 such steps would leave each state the small difference of terms 1.5^48
-        # times its size
+        # times its size.  At n_store = 1000 every step, so every offset of the
+        # shortened blocks, is stored
         d = DisturbanceSignal.sinusoid(1.0, 2.0, 0.7)
         cfg = ClosedLoopConfig(D=1.0, p=p, c=1.0, d=d)
         kernel = solve_kernel(cfg, 64)
         inverse = solve_inverse_kernel(cfg, 64)
         y0 = compatible_y0(d, kernel, inverse)
         result = simulate_closed_loop(cfg, y0, dt, T, kernel=kernel,
-                                      inverse_kernel=inverse, n_store=40)
-        rows, uvals = closed_loop_step_oracle(cfg, y0, dt, T, kernel, 40)
+                                      inverse_kernel=inverse, n_store=n_store)
+        rows, uvals = closed_loop_step_oracle(cfg, y0, dt, T, kernel, n_store)
         assert np.max(np.abs(result.y.values - rows)) <= 1e-12 * np.max(np.abs(rows))
         assert np.max(np.abs(result.y.extras["control"] - uvals)) <= 1e-12 * np.max(np.abs(uvals))
 

@@ -623,6 +623,7 @@ class TestRejectedInputs:
         ("--config x.cfg --zeta 3", "--config does not read --zeta"),
         ("--config x.cfg --D 2", "--config does not read --D"),
         ("--config x.cfg --q 2 --c 1", "--config does not read --c"),
+        ("--case transport --config x.cfg", "--config does not read --case"),
     ])
     def test_named_case_flag_with_config(self, tmp_path, monkeypatch, capsys, args, message):
         self.assert_unread_flag(tmp_path, monkeypatch, capsys, args, message)
@@ -714,6 +715,8 @@ class TestRejectedInputs:
         (["--solver", "closed-loop", "--q", "2"], "--q"),
         (["--solver", "fd", "--kernel-output", "kernel.csv"], "--kernel-output"),
         (["--solver", "advection", "--kernel-output", "kernel.csv"], "--kernel-output"),
+        (["--solver", "closed-loop", "--zeta", "3", "--v", "9", "--T", "0.01"], "--v"),
+        (["--solver", "advection", "--c", "5", "--zeta", "2", "--T", "0.01"], "--zeta"),
     ])
     def test_input_the_solver_does_not_read(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)

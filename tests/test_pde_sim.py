@@ -665,11 +665,12 @@ class TestCrankNicolsonLoop:
         assert np.max(np.abs(u - ref_u)) <= 1e-13 * np.max(np.abs(ref_u))
 
     @pytest.mark.parametrize("n_steps", [1, pde_sim.CN_BLOCK - 1, pde_sim.CN_BLOCK,
-                                         pde_sim.CN_BLOCK + 1])
-    @pytest.mark.parametrize("n_store", [1, 1000])
+                                         pde_sim.CN_BLOCK + 1, 3 * pde_sim.CN_BLOCK])
+    @pytest.mark.parametrize("n_store", [1, 3, 1000])
     def test_block_boundaries_match_solve_banded_loop(self, n_steps, n_store):
-        # one step, one step short of a block, one block, and one block and a step,
-        # storing only the end or every step
+        # one step, one step short of a block, one block, one block and a step, and
+        # three blocks, storing only the end, three states (at the block ends of
+        # three blocks) or every step
         problem = FD_ORACLE_PROBLEMS["transport a=1"]()
         d = DisturbanceSignal.sinusoid(1.0, 3.0)
         x0 = GridFunction(problem.grid, 0.5 * np.sin(math.pi * problem.grid))   # d(0) = 0
