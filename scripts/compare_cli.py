@@ -56,14 +56,17 @@ GAIN = ["", "--D 3", "--case transport --zeta 1 --a 1 --q 5", "--config ../x.cfg
         "--config ../robin-inlet.cfg", "--config ../robin-both.cfg",
         "--case transport --k nan", "--case transport --v 1e200",
         "--case dirichlet-laplacian --v 5 --a 1", "--case transport --zeta 1 --v 7 --k 3",
-        "--config ../x.cfg --zeta 3", "--case transport --config ../x.cfg"]
+        "--config ../x.cfg --zeta 3", "--case transport --config ../x.cfg",
+        "--config ../x.cfg --resolution 1024", "--modes 8", "--config ../x.cfg --N 5",
+        "--case transport --zeta 1 --q 2 --N 5"]
 SPECTRUM = ["--case transport --zeta 1 --a 1e12", "--case transport --zeta 1 --a 1 --q 5",
             "--case backstepping --c 2 --D 0.5 --modes 16", "--modes 8",
             *[f"--config ../{name}" for name in CONFIGS if name != "x.cfg"],
             "--case transport --a -1", "--case transport --zeta nan", "--case transport --k -5",
             "--case transport --D -1", "--case backstepping --c inf",
             "--case backstepping --c 1 --zeta 9"]
-SWEEP = ["--advection-form legacy --output fig1.csv"]
+SWEEP = ["--advection-form legacy --output fig1.csv", "--zeta-min 4 --zeta-max 0.05",
+         "--zeta-min 4 --zeta-max 0.05 --advection-form legacy --output fig1.csv"]
 SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             f"fd --config ../robin-inlet.cfg --x0 steady {ISS}",
             f"fd --case transport --zeta 2 --a 1 --x0 steady {ISS}",
@@ -93,7 +96,17 @@ SIMULATE = [f"fd --config ../robin.cfg --x0 steady {ISS}",
             "fd --dt 0.0078125 --T 1.125 --store 3 --output traj.csv",
             "closed-loop --plant-p 50 --c 2 --dt 0.01 --T 0.5 --store 1000 --output cl.csv",
             "closed-loop --zeta 3 --v 9 --T 0.01 --output cl.csv",
-            "advection --c 5 --zeta 2 --T 0.01 --output traj.csv"]
+            "advection --c 5 --zeta 2 --T 0.01 --output traj.csv",
+            *(f"{solver} --dt 0.01 --output traj.csv"
+              for solver in ("spectral", "lifted", "advection")),
+            *(f"{solver} --modes 8 --output traj.csv"
+              for solver in ("fd", "advection", "closed-loop")),
+            "advection --x0 steady --output traj.csv", "closed-loop --x0 sine --output cl.csv",
+            *(f"{solver} --plant-p 2 --output traj.csv"
+              for solver in ("fd", "spectral", "lifted", "advection")),
+            "fd --eps 1 --output traj.csv", "spectral --slack 0.1 --output traj.csv",
+            "closed-loop --iss-output iss.csv --output cl.csv",
+            f"fd --T 0.2 --eps abc --output traj.csv {ISS}"]
 COMMANDS = (README + [f"gain {a}".strip() for a in GAIN] + [f"spectrum {a}" for a in SPECTRUM]
             + [f"sweep-fig1 {a}" for a in SWEEP] + [f"simulate --solver {a}" for a in SIMULATE])
 

@@ -50,8 +50,8 @@ from .backstepping import (
 from .sturm_liouville import build_problem, solve_spectrum, solve_steady_bvp
 
 
-@functools.cache       # built once per process: no default is mutable
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache       # built once per process: callers copy the defaults, never change them
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="issgain",
         description="ISS gains, spectra and simulations for boundary-disturbed "
@@ -59,16 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_problem_args(p):
-        p.add_argument("--case", choices=["dirichlet-laplacian", "transport", "backstepping"])
+        p.add_argument("--case", choices=["dirichlet-laplacian", "transport", "backstepping"],
+                       default="dirichlet-laplacian")
         p.add_argument("--config", help="path to a key/value config file")
-        # None when not given: a flag that the problem would not read is rejected
-        p.add_argument("--D", type=float, help="diffusivity (default 1)")
-        p.add_argument("--v", type=float, help="velocity (default 1)")
-        p.add_argument("--k", type=float, help="reaction rate (default 0)")
-        p.add_argument("--a", help="exit parameter, number or 'inf' (the default)")
-        p.add_argument("--c", type=float, help="target coefficient (default 0)")
-        p.add_argument("--zeta", type=float, help="directly sets zeta (transport, k=0)")
         p.add_argument("--q", type=float, help="constant potential override")
+        p.add_argument("--D", type=float, default=1.0, help="diffusivity (default 1)")
+        p.add_argument("--v", type=float, default=1.0, help="velocity (default 1)")
+        p.add_argument("--k", type=float, default=0.0, help="reaction rate (default 0)")
+        p.add_argument("--a", default="inf", help="exit parameter, number or 'inf' (the default)")
+        p.add_argument("--zeta", type=float, help="directly sets zeta (transport, k=0)")
+        p.add_argument("--c", type=float, default=0.0, help="target coefficient (default 0)")
         p.add_argument("--resolution", type=int, default=256)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues/eigenfunctions + hypothesis report")
@@ -112,7 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--eps", default="0.1,1,10")
     p_sim.add_argument("--slack", type=float, default=1e-3)
     p_sim.add_argument("--iss-output", default="-")
-    return parser
+    defaults = {name: {a.dest: a.default for a in p._actions if a.dest != "help"}
+                for name, p in sub.choices.items()}      # each command's, in parser order
+    for action in (a for p in sub.choices.values() for a in p._actions):
+        action.default = argparse.SUPPRESS                 # parse only the flags given
+    return parser, defaults
 
 
 def _parse_a(value) -> float:
@@ -125,52 +129,58 @@ def _parse_a(value) -> float:
     return a
 
 
-_CASE_DEFAULTS = {"D": 1.0, "v": 1.0, "k": 0.0, "a": "inf", "c": 0.0}
-# the one case that reads each flag; --D is read by every case
-_READ_BY_CASE = {"v": "transport", "k": "transport", "a": "transport", "zeta": "transport",
-                 "c": "backstepping"}
+_PROBLEM = "case config q D v k a zeta c resolution"
+_RUN = "solver T store disturbance amplitude omega phase ramp wide output verify_iss"
+_ISS = "eps slack iss_output"
+_OPTIONS = f"modes N dt x0 plant_p kernel_output {_RUN}"     # no problem source decides these
+# the flags that each layer of a run reads; _read_args names the layers of one run
+_READS = {who: frozenset(flags.split()) for who, flags in {
+    "spectrum": f"{_PROBLEM} modes output",
+    "gain with a named case": f"{_PROBLEM} N",
+    "gain with --config or --q": f"{_PROBLEM} modes",
+    "sweep-fig1": "zeta_min zeta_max points advection_form output",
+    "--solver fd": f"{_PROBLEM} {_RUN} {_ISS} dt x0",
+    "--solver spectral": f"{_PROBLEM} {_RUN} {_ISS} modes x0",
+    "--solver lifted": f"{_PROBLEM} {_RUN} {_ISS} modes x0",
+    "--solver advection": f"D v k resolution {_RUN} {_ISS}",
+    "--solver closed-loop": f"D c resolution {_RUN} {_ISS} dt plant_p kernel_output",
+    "--config": f"config q {_OPTIONS} {_ISS}",
+    "--case dirichlet-laplacian": f"case q D resolution {_OPTIONS} {_ISS}",
+    "--case transport": f"case q D v k a zeta resolution {_OPTIONS} {_ISS}",
+    "--case transport with --zeta": f"case q D a zeta resolution {_OPTIONS} {_ISS}",
+    "--case backstepping": f"case q D c resolution {_OPTIONS} {_ISS}",
+    "simulate without --verify-iss": f"{_PROBLEM} {_OPTIONS}",
+}.items()}
 
 
-def _case_flag(args, name: str):
-    """A named-case flag as given, else its default."""
-    value = getattr(args, name)
-    return _CASE_DEFAULTS[name] if value is None else value
-
-
-def _require_read_case_flags(args):
-    """Reject a named-case flag that the config or the named case would not read."""
-    if args.config and args.case:
-        raise ConfigError("--config does not read --case")
-    case = args.case or "dirichlet-laplacian"
-    for name in ("D", *_READ_BY_CASE):
-        if getattr(args, name) is None:
-            continue
-        if args.config:
-            raise ConfigError(f"--config does not read --{name}")
-        if _READ_BY_CASE.get(name, case) != case:
-            raise ConfigError(f"--case {case} does not read --{name}")
-        if name in ("v", "k") and args.zeta is not None:
-            raise ConfigError(f"--case transport with --zeta does not read --{name}")
-
-
-def _named_case(args) -> TransportCase:
-    """The one reading of ``--case``: every named problem is a transport tube."""
-    case, D = args.case or "dirichlet-laplacian", _case_flag(args, "D")
-    if case == "transport":
-        a = _parse_a(_case_flag(args, "a"))
-        if args.zeta is not None:
-            return TransportCase.from_zeta(args.zeta, a, D)
-        return TransportCase(D, _case_flag(args, "v"), _case_flag(args, "k"), a)
-    return TransportCase.from_target(_case_flag(args, "c") if case == "backstepping" else 0.0, D)
+def _read_args(given, defaults: dict) -> argparse.Namespace:
+    """Fill in defaults; raise for a given flag that a layer does not read, outer layers first."""
+    args = argparse.Namespace(**{**defaults, **vars(given)})
+    route = "--config or --q" if "config" in given or "q" in given else "a named case"
+    layers = [f"--solver {args.solver}" if args.command == "simulate" else
+              f"gain with {route}" if args.command == "gain" else args.command]
+    if "case" in _READS[layers[0]]:            # a run that reads a problem: its source
+        layers.append("--config" if "config" in given else f"--case {args.case}")
+        if layers[-1] == "--case transport" and "zeta" in given:
+            layers.append("--case transport with --zeta")
+    if args.command == "simulate" and not args.verify_iss:
+        layers.append("simulate without --verify-iss")
+    for who in layers:
+        for flag in defaults:
+            if flag in given and flag not in _READS[who]:
+                raise ConfigError(f"{who} does not read --{flag.replace('_', '-')}")
+    return args
 
 
 def _problem_from_args(args):
     """The problem and its named case; the case is None for --config or a --q override."""
-    _require_read_case_flags(args)
-    if args.config:
+    if args.config is not None:
         problem, case = problem_from_config(load_config(args.config)), None
-    else:
-        case = _named_case(args)
+    else:       # a transport tube; _READS admits --zeta only for transport, --c for backstepping
+        a = _parse_a(args.a)
+        case = (TransportCase.from_zeta(args.zeta, a, args.D) if args.zeta is not None else
+                TransportCase(args.D, args.v, args.k, a) if args.case == "transport" else
+                TransportCase.from_target(args.c, args.D))
         problem = transport_problem(case.D, case.v, case.k, case.a, resolution=args.resolution)
     if args.q is not None:
         problem, case = build_problem(problem.p, args.q, problem.r, problem.a1, problem.a2,
@@ -246,6 +256,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     if not all(math.isfinite(z) and z > 0 for z in (args.zeta_min, args.zeta_max)):
         raise ConfigError("zeta grid must be finite and positive")   # np.linspace warns on inf
+    if args.zeta_min > args.zeta_max:
+        raise ConfigError(f"--zeta-min {args.zeta_min} exceeds --zeta-max {args.zeta_max}")
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
     table = sweep_figure1(zetas, advection_form=args.advection_form)
     csvio.write_csv(*csvio.sweep_table(table), args.output)
@@ -260,11 +272,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_PROBLEM_SOLVERS = ("fd", "spectral", "lifted")
-_READ_BY = {"--case": _PROBLEM_SOLVERS, "--config": _PROBLEM_SOLVERS, "--q": _PROBLEM_SOLVERS,
-            "--v": (*_PROBLEM_SOLVERS, "advection"), "--k": (*_PROBLEM_SOLVERS, "advection"),
-            "--a": _PROBLEM_SOLVERS, "--zeta": _PROBLEM_SOLVERS,
-            "--c": (*_PROBLEM_SOLVERS, "closed-loop"), "--kernel-output": ("closed-loop",)}
 # a kernel pair is usable when max|(I+K)(I+L)x0 - x0| <= ROUNDTRIP_BOUND max|x0|; at M = 256 the
 # round trip is 1.6e-4 at p = 100, where u is 9.7e-4 of max|u| off a run at M = 1024
 ROUNDTRIP_BOUND = 1e-4
@@ -273,16 +280,16 @@ ROUNDTRIP_BOUND = 1e-4
 def cmd_simulate(args) -> int:
     if args.store < 1:
         raise ConfigError(f"--store must be at least 1, got {args.store}")
-    for flag, solvers in _READ_BY.items():
-        if getattr(args, flag[2:].replace("-", "_")) is not None and args.solver not in solvers:
-            raise ConfigError(f"--solver {args.solver} does not read {flag}")
     if args.verify_iss:      # settle the ISS settings before any solve or output
-        eps = tuple(float(e) for e in args.eps.split(","))
+        try:
+            eps = tuple(float(e) for e in args.eps.split(","))
+        except ValueError:
+            raise ConfigError(f"--eps must be comma-separated numbers, got {args.eps!r}") from None
         _require_iss_settings(eps, args.slack)
     d = _signal_from_args(args)
     envelope = None          # each branch builds it before its solve
     if args.solver == "advection":
-        v, k, D = (_case_flag(args, name) for name in ("v", "k", "D"))
+        v, k, D = args.v, args.k, args.D
         for flag, value in (("--v", v), ("--D", D)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{flag} must be finite and positive for the advection "
@@ -305,8 +312,7 @@ def cmd_simulate(args) -> int:
         traj = advection_exact(v, k, d, y0, args.T, resolution=args.resolution,
                                weight_D=D, n_store=args.store)
     elif args.solver == "closed-loop":
-        D, c = _case_flag(args, "D"), _case_flag(args, "c")
-        cfg = ClosedLoopConfig(D=D, p=args.plant_p, c=c, d=d)
+        cfg = ClosedLoopConfig(D=args.D, p=args.plant_p, c=args.c, d=d)
         kernel = solve_kernel(cfg, args.resolution)
         inverse = solve_inverse_kernel(cfg, args.resolution)
         if args.verify_iss:
@@ -369,14 +375,15 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
+    parser, defaults = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        given = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
     handlers = {"spectrum": cmd_spectrum, "gain": cmd_gain,
                 "sweep-fig1": cmd_sweep, "simulate": cmd_simulate}
     try:
+        args = _read_args(given, defaults[given.command])
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

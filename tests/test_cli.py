@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 import issgain.backstepping
@@ -306,6 +311,17 @@ class TestSweepCommand:
         vals = [float(x) for x in lines[1].split(",")]
         assert vals[3] == pytest.approx(0.5426663913, abs=1e-9)
         assert vals[4] == pytest.approx(0.6575198540, abs=1e-9)
+
+    @pytest.mark.parametrize("form", ["derivation", "legacy"])
+    def test_reversed_grid_exit_three(self, tmp_path, capsys, form):
+        # a grid that runs backwards would report G increasing in zeta
+        out = tmp_path / "fig1.csv"
+        assert main(["sweep-fig1", "--zeta-min", "4", "--zeta-max", "0.05",
+                     "--advection-form", form, "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --zeta-min 4.0 exceeds --zeta-max 0.05\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -624,6 +640,7 @@ class TestRejectedInputs:
         ("--config x.cfg --D 2", "--config does not read --D"),
         ("--config x.cfg --q 2 --c 1", "--config does not read --c"),
         ("--case transport --config x.cfg", "--config does not read --case"),
+        ("--config x.cfg --resolution 64", "--config does not read --resolution"),
     ])
     def test_named_case_flag_with_config(self, tmp_path, monkeypatch, capsys, args, message):
         self.assert_unread_flag(tmp_path, monkeypatch, capsys, args, message)
@@ -688,6 +705,8 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("flag, value, message", [
         ("--eps", "nan", "epsilon values must be finite and positive"),
         ("--eps", "0.1,inf", "epsilon values must be finite and positive"),
+        ("--eps", "abc", "--eps must be comma-separated numbers, got 'abc'"),
+        ("--eps", "", "--eps must be comma-separated numbers, got ''"),
         ("--slack", "nan", "slack must be finite and nonnegative"),
         ("--slack", "-1", "slack must be finite and nonnegative"),
     ])
@@ -717,6 +736,14 @@ class TestRejectedInputs:
         (["--solver", "advection", "--kernel-output", "kernel.csv"], "--kernel-output"),
         (["--solver", "closed-loop", "--zeta", "3", "--v", "9", "--T", "0.01"], "--v"),
         (["--solver", "advection", "--c", "5", "--zeta", "2", "--T", "0.01"], "--zeta"),
+        *((["--solver", solver, "--dt", "0.01"], "--dt")
+          for solver in ("spectral", "lifted", "advection")),
+        *((["--solver", solver, "--modes", "8"], "--modes")
+          for solver in ("fd", "advection", "closed-loop")),
+        *((["--solver", solver, "--x0", "steady"], "--x0")
+          for solver in ("advection", "closed-loop")),
+        *((["--solver", solver, "--plant-p", "2"], "--plant-p")
+          for solver in ("fd", "spectral", "lifted", "advection")),
     ])
     def test_input_the_solver_does_not_read(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
@@ -725,10 +752,129 @@ class TestRejectedInputs:
         assert capsys.readouterr().err == f"config error: --solver {solver} does not read {flag}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        ("gain --modes 8", "gain with a named case does not read --modes"),
+        ("gain --case transport --zeta 1 --modes 8",
+         "gain with a named case does not read --modes"),
+        ("gain --config x.cfg --N 5", "gain with --config or --q does not read --N"),
+        ("gain --q 2 --N 5", "gain with --config or --q does not read --N"),
+        ("simulate --eps 1 --output out.csv", "simulate without --verify-iss does not read --eps"),
+        ("simulate --solver closed-loop --slack 1 --output out.csv",
+         "simulate without --verify-iss does not read --slack"),
+        ("simulate --solver spectral --iss-output iss.csv --output out.csv",
+         "simulate without --verify-iss does not read --iss-output"),
+    ])
+    def test_input_the_run_does_not_read(self, tmp_path, monkeypatch, capsys, argv, message):
+        # gain's route and simulate's --verify-iss each decide flags of their own
+        (tmp_path / "x.cfg").write_text(CONFIG_OK)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
+
     def test_step_count_overflow(self, tmp_path, capsys):
         assert main(["simulate", "--solver", "fd", "--dt", "1e-320",
                      "--output", str(tmp_path / "out.csv")]) == 3
         assert capsys.readouterr().err.startswith("config error: T/dt overflows")
+
+
+# --- the flag table, fuzzed: argv drawn from the runs _READS describes ---
+NUMBER = st.sampled_from(["0", "-1", "nan", "inf", "1e300", "0.5", "2"])
+FLAG_VALUES = {      # flags that size an array take small values only
+    "case": st.sampled_from(["dirichlet-laplacian", "transport", "backstepping"]),
+    "a": st.sampled_from(["inf", "0", "1", "-1", "nan", "1e300"]),
+    "resolution": st.sampled_from(["63", "64", "66"]),
+    "modes": st.integers(1, 12).map(str), "N": st.integers(-1, 40).map(str),
+    "store": st.integers(0, 4).map(str), "points": st.integers(0, 3).map(str),
+    "T": st.sampled_from(["0.01", "0.03"]), "dt": st.sampled_from(["0.001", "0.005"]),
+    "eps": st.sampled_from(["0.1,1", "nan", "abc", "", "1,inf"]),
+    "disturbance": st.sampled_from(["constant", "sinusoid", "smoothed-step"]),
+    "x0": st.sampled_from(["zero", "steady", "lift", "sine"]),
+    "advection_form": st.sampled_from(["derivation", "legacy"]),
+    "output": st.just("out.csv"), "iss_output": st.just("iss.csv"),
+    "kernel_output": st.just("kernel.csv"), "config": st.just("x.cfg"),
+    "wide": st.none(), "verify_iss": st.none(),
+}
+# the layer of a run that its command or solver decides, and the argv that selects it
+FIRST_LAYERS = [("spectrum", ["spectrum"]), ("gain with a named case", ["gain"]),
+                ("gain with --config or --q", ["gain"]), ("sweep-fig1", ["sweep-fig1"]),
+                *((f"--solver {s}", ["simulate", "--solver", s])
+                  for s in ("fd", "spectral", "lifted", "advection", "closed-loop"))]
+
+
+@st.composite
+def runs(draw):
+    """(argv, layers, given flags): the layers name the run independently of the CLI."""
+    first, argv = draw(st.sampled_from(FIRST_LAYERS))
+    layers, flags, command = [first], {}, argv[0]
+    fixed = {"solver", "verify_iss", "config", "case", "zeta", "q"}
+    if first == "gain with --config or --q":
+        for flag in draw(st.sampled_from([["config"], ["q"], ["config", "q"]])):
+            flags[flag] = draw(FLAG_VALUES.get(flag, NUMBER))
+    if "case" in issgain.cli._READS[first]:
+        if "config" in flags or (command != "gain" and draw(st.booleans())):
+            flags["config"] = "x.cfg"
+            layers.append("--config")
+            fixed -= {"case", "zeta"}       # neither changes the run; both are unread
+        else:
+            case = draw(FLAG_VALUES["case"])
+            if case != "dirichlet-laplacian" or draw(st.booleans()):
+                flags["case"] = case
+            layers.append(f"--case {case}")
+            if case != "transport":
+                fixed.discard("zeta")
+            elif draw(st.booleans()):
+                flags["zeta"] = draw(NUMBER)
+                layers.append("--case transport with --zeta")
+        if command != "gain":
+            fixed.discard("q")
+    elif command == "simulate":
+        fixed -= {"config", "case", "zeta", "q"}
+    if command == "simulate":
+        if draw(st.booleans()):
+            flags["verify_iss"] = None
+        else:
+            layers.append("simulate without --verify-iss")
+    _, defaults = issgain.cli._build_parser()
+    for flag in draw(st.lists(st.sampled_from(sorted(set(defaults[command]) - fixed)),
+                              max_size=5, unique=True)):
+        flags[flag] = draw(FLAG_VALUES.get(flag, NUMBER))
+    return argv, layers, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs())
+def test_every_flag_a_run_does_not_read_exits_three(run):
+    argv, layers, flags = run
+    reads = frozenset.intersection(*(issgain.cli._READS[who] for who in layers))
+    unread = {f"--{flag.replace('_', '-')}" for flag in flags if flag not in reads}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "x.cfg").write_text(CONFIG_OK)
+        for flag, value in flags.items():
+            argv = [*argv, f"--{flag.replace('_', '-')}"]
+            if value is not None:
+                argv.append(str(root / value) if value.endswith((".csv", ".cfg")) else value)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        written = sorted(p.name for p in root.iterdir())
+    message = err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in message
+    rejected = re.fullmatch(r"config error: (.+) does not read (--\S+)\n", message)
+    if unread:
+        assert code == 3 and rejected, (argv, message)
+        assert rejected[1] in layers and rejected[2] in unread, (argv, message)
+        assert caught == [], argv
+    else:
+        assert rejected is None and "does not read --" not in message, (argv, message)
+    if code == 3:
+        assert written == ["x.cfg"], (argv, message)
 
 
 class TestConfigValues:
